@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import ConfigurationError, ConvergenceError
 from ..graph import Graph
 from .._util import as_rng
-from .operators import MarkovOperator
+from .operators import MarkovOperator, _check_walk_lengths
 from .runtime import ExecutionPolicy, as_policy
 from .walks import TransitionOperator
 
@@ -265,11 +265,7 @@ def measure_mixing(
     math, bit-identical results).
     """
     _check_mode(mode, laziness=laziness, operator=operator)
-    lengths = np.asarray(list(walk_lengths), dtype=np.int64)
-    if lengths.size == 0:
-        raise ValueError("walk_lengths must be non-empty")
-    if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
-        raise ValueError("walk_lengths must be strictly increasing and nonnegative")
+    lengths = _check_walk_lengths(list(walk_lengths))
     run_policy = as_policy(policy, workers=workers, block_size=block_size)
 
     if mode == "uniform_start":

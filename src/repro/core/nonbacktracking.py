@@ -46,8 +46,14 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..graph import Graph
 from ..obs import OBS
-from .distances import total_variation_to_reference
-from .operators import HittingTimes, MarkovOperator, resolve_block_size
+from .operators import (
+    HittingTimes,
+    MarkovOperator,
+    _check_hitting,
+    _check_walk_lengths,
+    _rowless,
+    _sweep,
+)
 from .runtime import ExecutionPolicy, as_policy
 
 __all__ = [
@@ -192,6 +198,23 @@ def _node_reference(
     return ref
 
 
+def _node_space_sweep(graph, sources, reference, operator, policy, **stop):
+    """Arc blocks stepped by the core sweep, measured on node occupancy."""
+    policy = as_policy(policy)
+    op = operator if operator is not None else NonBacktrackingOperator(graph)
+    src = np.asarray(sources, dtype=np.int64).ravel()
+    return _sweep(
+        lambda lo, hi: op.start_block(src[lo:hi]),
+        src.size,
+        _rowless(op._resolve_step(policy)),
+        _node_reference(op, reference),
+        op.num_arcs,
+        policy,
+        measure=op.project_to_nodes,
+        **stop,
+    )
+
+
 def non_backtracking_curves(
     graph: Graph,
     sources: Sequence[int],
@@ -208,38 +231,13 @@ def non_backtracking_curves(
     ``out[i, j]`` is the TVD between ``deg/2m`` (or ``reference``) and
     the *node occupancy* of a non-backtracking walk of length
     ``walk_lengths[j]`` started at ``sources[i]``.  Arc blocks are
-    chunked against the same memory budget as node blocks and stepped
-    with the policy-selected SpMM backend.
+    chunked against the policy's memory budget (a row is ``2m`` arcs
+    wide) and stepped with the policy-selected SpMM backend.
     """
-    lengths = np.asarray(walk_lengths, dtype=np.int64).ravel()
-    if lengths.size == 0:
-        raise ValueError("walk_lengths must be non-empty")
-    if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
-        raise ValueError("walk_lengths must be strictly increasing and nonnegative")
-    policy = as_policy(policy)
-    op = operator if operator is not None else NonBacktrackingOperator(graph)
-    src = np.asarray(sources, dtype=np.int64).ravel()
-    ref = _node_reference(op, reference)
-    chunk_rows = resolve_block_size(op.num_arcs, policy.block_size)
-    apply_step = op._resolve_step(policy)
-    if OBS.enabled:
-        OBS.add("core.evolution.rows", src.size)
-        OBS.add("core.evolution.steps", int(lengths[-1]) * src.size)
-    max_len = int(lengths[-1])
-    out = np.empty((src.size, lengths.size), dtype=np.float64)
-    for lo in range(0, src.size, chunk_rows):
-        chunk = src[lo:lo + chunk_rows]
-        x = op.start_block(chunk)
-        col = 0
-        for t in range(max_len + 1):
-            if col < lengths.size and lengths[col] == t:
-                out[lo:lo + chunk.size, col] = total_variation_to_reference(
-                    op.project_to_nodes(x), ref, validate=False
-                )
-                col += 1
-            if t < max_len:
-                x = apply_step(x)
-    return out
+    lengths = _check_walk_lengths(walk_lengths)
+    return _node_space_sweep(
+        graph, sources, reference, operator, policy, checkpoints=lengths
+    )
 
 
 def non_backtracking_hitting_times(
@@ -261,45 +259,8 @@ def non_backtracking_hitting_times(
     that are close to pure cycles, where the non-backtracking chain is
     (nearly) periodic — get time ``-1``.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    policy = as_policy(policy)
-    op = operator if operator is not None else NonBacktrackingOperator(graph)
-    src = np.asarray(sources, dtype=np.int64).ravel()
-    ref = _node_reference(op, reference)
-    chunk_rows = resolve_block_size(op.num_arcs, policy.block_size)
-    apply_step = op._resolve_step(policy)
-    if OBS.enabled:
-        OBS.add("core.evolution.rows", src.size)
-    times = np.full(src.size, -1, dtype=np.int64)
-    final = np.empty(src.size, dtype=np.float64)
-    for lo in range(0, src.size, chunk_rows):
-        chunk = src[lo:lo + chunk_rows]
-        x = op.start_block(chunk)
-        active = np.arange(lo, lo + chunk.size, dtype=np.int64)
-        dist = total_variation_to_reference(
-            op.project_to_nodes(x), ref, validate=False
-        )
-        hit = dist < epsilon
-        times[active[hit]] = 0
-        final[active] = dist
-        x = x[~hit]
-        active = active[~hit]
-        for t in range(1, max_steps + 1):
-            if active.size == 0:
-                break
-            x = apply_step(x)
-            if OBS.enabled:
-                OBS.add("core.evolution.steps", active.size)
-            dist = total_variation_to_reference(
-                op.project_to_nodes(x), ref, validate=False
-            )
-            final[active] = dist
-            hit = dist < epsilon
-            if np.any(hit):
-                times[active[hit]] = t
-                x = x[~hit]
-                active = active[~hit]
-    return HittingTimes(times=times, final_distances=final)
+    _check_hitting(epsilon, max_steps)
+    return _node_space_sweep(
+        graph, sources, reference, operator, policy,
+        epsilon=epsilon, max_steps=max_steps,
+    )

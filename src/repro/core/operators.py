@@ -1,33 +1,35 @@
-"""Unified Markov-operator layer with batched multi-source evolution.
+"""Unified Markov-operator layer and the one TVD sweep core.
 
 Every random-walk variant in the reproduction — the plain simple random
 walk (:class:`~repro.core.walks.TransitionOperator`), the teleporting
-directed walk (:class:`~repro.core.directed.DirectedTransitionOperator`)
-and the trust-weighted walk
-(:class:`~repro.core.trust.WeightedTransitionOperator`) — is a
-row-stochastic Markov operator evolved the same way: start from a
-point-mass row vector, repeatedly right-multiply by ``P``, and record the
-total variation distance to a reference distribution.  Historically each
-operator reimplemented ``point_mass`` / ``step`` / ``evolve`` and its own
-validation, with subtle drift between the copies, and every measurement
-loop evolved one source at a time with 1-D sparse mat-vecs.
+directed walk (:class:`~repro.core.directed.DirectedTransitionOperator`),
+the trust-weighted walk
+(:class:`~repro.core.trust.WeightedTransitionOperator`) and the
+non-backtracking arc walk
+(:class:`~repro.core.nonbacktracking.NonBacktrackingOperator`) — is a
+row-stochastic Markov operator evolved the same way: start from a row
+vector, repeatedly right-multiply by ``P``, and record the total
+variation distance to a reference distribution.
 
-:class:`MarkovOperator` centralises all of that and adds the *block API*
-that makes the paper's definition-based measurement (equation (2)) a
-sparse-times-dense-block product instead of ``s`` independent mat-vec
-loops:
+:class:`MarkovOperator` owns validation, point masses and stepping
+(:meth:`~MarkovOperator.step_block` advances a whole ``(s, n)`` block
+with one sparse-times-dense product, dispatching to the subclass kernel
+:meth:`~MarkovOperator._apply_block`).  The measurement itself —
+equation (2) of the paper — is one loop, :func:`_sweep`: build the
+first block of a chunk, step it, reduce each row's TVD to the reference
+(optionally after mapping the block, e.g. arcs onto nodes), and stop by
+one of two rules:
 
-* :meth:`MarkovOperator.point_mass_block` builds the ``(s, n)`` block of
-  point masses for ``s`` sources;
-* :meth:`MarkovOperator.step_block` advances a whole block one step
-  (``X @ P``), dispatching to the subclass kernel
-  :meth:`MarkovOperator._apply_block`;
-* :meth:`MarkovOperator.variation_curves` records TVD-to-reference at
-  requested walk-length checkpoints for every source, chunking the block
-  so the dense buffer stays under a configurable memory budget;
-* :meth:`MarkovOperator.hitting_times` computes per-source
-  ``min { t : ||pi - pi^(i) P^t|| < eps }`` with early-exit masking —
-  rows whose distance already fell below ``eps`` stop being stepped.
+* *checkpoints* — record the TVD at given walk lengths
+  (:meth:`MarkovOperator.variation_curves`, Figures 3–4);
+* *ε-hitting* — retire a row once its TVD drops below ε
+  (:meth:`MarkovOperator.hitting_times`, Figure 5), so the stepped
+  block shrinks as sources converge.
+
+The point-mass, distribution-start, non-backtracking and
+originator-biased sweeps differ only in how the first block is built
+and stepped; each is argument validation plus one call into the core,
+which sizes every chunk from :func:`policy_block_bytes`.
 
 Block rows are bit-for-bit identical to sequential 1-D evolution (scipy's
 CSR mat-vec accumulates in the same order either way), so batching changes
@@ -39,7 +41,7 @@ laziness settings and chunk boundaries.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,6 +71,10 @@ DEFAULT_BLOCK_BYTES: int = 1024 * 1024
 #: Python/scipy call overhead and only add memory pressure (tiny graphs
 #: would otherwise get million-row chunks from the byte budget alone).
 _MAX_BLOCK_ROWS: int = 1024
+
+#: A sweep step: ``step(x, rows)`` advances block ``x`` by one step;
+#: ``rows`` are the positions of its rows within the sweep.
+SweepStep = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def resolve_block_size(
@@ -374,6 +380,12 @@ class MarkovOperator(ABC):
     # ------------------------------------------------------------------
     # Batched measurement primitives (the Figure 3-7 hot path)
     # ------------------------------------------------------------------
+    def _reference(self, reference: Optional[np.ndarray]) -> np.ndarray:
+        """``reference`` validated, or :meth:`stationary` when omitted."""
+        if reference is None:
+            return self.stationary()
+        return self._check_vector(reference, name="reference")
+
     def variation_curve(
         self,
         source: int,
@@ -421,70 +433,23 @@ class MarkovOperator(ABC):
         resumes completed shards.  The bare ``workers=``/``block_size=``
         kwargs are deprecated aliases.
         """
-        lengths = np.asarray(walk_lengths, dtype=np.int64).ravel()
-        if lengths.size == 0:
-            raise ValueError("walk_lengths must be non-empty")
-        if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
-            raise ValueError("walk_lengths must be strictly increasing and nonnegative")
+        lengths = _check_walk_lengths(walk_lengths)
         policy = as_policy(policy, workers=workers, block_size=block_size)
         src = np.asarray(sources, dtype=np.int64).ravel()
-        ref = self.stationary() if reference is None else self._check_vector(
-            reference, name="reference"
-        )
-        with OBS.span(
-            "core.variation_curves",
-            operator=type(self).__name__,
-            sources=int(src.size),
-            checkpoints=int(lengths.size),
-            max_walk=int(lengths[-1]),
-        ) as span:
-            if policy.workers is not None or policy.checkpoint_dir is not None:
-                from .parallel import maybe_parallel_variation_curves
+        ref = self._reference(reference)
 
-                out = maybe_parallel_variation_curves(
-                    self, src, lengths, reference=ref, policy=policy
-                )
-                if out is not None:
-                    return out
-            chunk_rows = resolve_block_size(
-                self._num_states,
-                policy.block_size,
-                memory_budget_bytes=policy_block_bytes(policy),
+        def fan_out():
+            from .parallel import maybe_parallel_variation_curves
+
+            return maybe_parallel_variation_curves(
+                self, src, lengths, reference=ref, policy=policy
             )
-            telemetry = OBS.enabled
-            if telemetry:
-                span.set(chunk_rows=int(chunk_rows), path="serial")
-                OBS.add("core.evolution.rows", src.size)
-                OBS.add("core.evolution.steps", int(lengths[-1]) * src.size)
-                OBS.observe("core.evolution.chunk_rows", min(chunk_rows, src.size))
-            max_len = int(lengths[-1])
-            apply_step = self._resolve_step(policy)
-            out = np.empty((src.size, lengths.size), dtype=np.float64)
-            for lo in range(0, src.size, chunk_rows):
-                chunk = src[lo:lo + chunk_rows]
-                x = self.point_mass_block(chunk)
-                col = 0
-                for t in range(max_len + 1):
-                    if col < lengths.size and lengths[col] == t:
-                        out[lo:lo + chunk.size, col] = total_variation_to_reference(
-                            x, ref, validate=False
-                        )
-                        if telemetry:
-                            # Convergence trace: how far this chunk still is
-                            # from the reference at each checkpoint.
-                            d = out[lo:lo + chunk.size, col]
-                            OBS.event(
-                                "tvd_checkpoint",
-                                step=t,
-                                chunk_lo=int(lo),
-                                rows=int(chunk.size),
-                                mean_tvd=float(d.mean()),
-                                max_tvd=float(d.max()),
-                            )
-                        col += 1
-                    if t < max_len:
-                        x = apply_step(x)
-            return out
+
+        return self._point_mass_sweep(
+            "core.variation_curves", src, ref, policy, fan_out,
+            {"checkpoints": int(lengths.size), "max_walk": int(lengths[-1])},
+            checkpoints=lengths,
+        )
 
     def hitting_times(
         self,
@@ -509,88 +474,45 @@ class MarkovOperator(ABC):
         then runs independently inside every worker, and the reassembled
         result is bit-for-bit equal to the serial one.
         """
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-        if max_steps < 0:
-            raise ValueError("max_steps must be nonnegative")
+        _check_hitting(epsilon, max_steps)
         policy = as_policy(policy, workers=workers, block_size=block_size)
         src = np.asarray(sources, dtype=np.int64).ravel()
-        ref = self.stationary() if reference is None else self._check_vector(
-            reference, name="reference"
+        ref = self._reference(reference)
+
+        def fan_out():
+            from .parallel import maybe_parallel_hitting_times
+
+            return maybe_parallel_hitting_times(
+                self, src, epsilon, max_steps=max_steps, reference=ref, policy=policy
+            )
+
+        return self._point_mass_sweep(
+            "core.hitting_times", src, ref, policy, fan_out,
+            {"epsilon": float(epsilon), "max_steps": int(max_steps)},
+            epsilon=epsilon, max_steps=max_steps,
         )
+
+    def _point_mass_sweep(self, name, src, ref, policy, fan_out, attributes, **stop):
+        """The point-mass sweep under a ``name`` span: pool or checkpointed
+        execution when the policy asks for it (``fan_out()`` returns
+        ``None`` to decline), else the core in this process."""
         with OBS.span(
-            "core.hitting_times",
-            operator=type(self).__name__,
-            sources=int(src.size),
-            epsilon=float(epsilon),
-            max_steps=int(max_steps),
+            name, operator=type(self).__name__, sources=int(src.size), **attributes
         ) as span:
             if policy.workers is not None or policy.checkpoint_dir is not None:
-                from .parallel import maybe_parallel_hitting_times
-
-                out = maybe_parallel_hitting_times(
-                    self,
-                    src,
-                    epsilon,
-                    max_steps=max_steps,
-                    reference=ref,
-                    policy=policy,
-                )
+                out = fan_out()
                 if out is not None:
                     return out
-            chunk_rows = resolve_block_size(
+            return _sweep(
+                lambda lo, hi: self.point_mass_block(src[lo:hi]),
+                src.size,
+                _rowless(self._resolve_step(policy)),
+                ref,
                 self._num_states,
-                policy.block_size,
-                memory_budget_bytes=policy_block_bytes(policy),
+                policy,
+                span=span,
+                **stop,
             )
-            telemetry = OBS.enabled
-            if telemetry:
-                span.set(chunk_rows=int(chunk_rows), path="serial")
-                OBS.add("core.evolution.rows", src.size)
-                OBS.observe("core.evolution.chunk_rows", min(chunk_rows, src.size))
-            apply_step = self._resolve_step(policy)
-            times = np.full(src.size, -1, dtype=np.int64)
-            final = np.empty(src.size, dtype=np.float64)
-            for lo in range(0, src.size, chunk_rows):
-                chunk = src[lo:lo + chunk_rows]
-                x = self.point_mass_block(chunk)
-                # Positions (into the global result arrays) still being stepped.
-                active = np.arange(lo, lo + chunk.size, dtype=np.int64)
-                dist = total_variation_to_reference(x, ref, validate=False)
-                hit = dist < epsilon
-                times[active[hit]] = 0
-                final[active] = dist
-                x = x[~hit]
-                active = active[~hit]
-                last_t = 0
-                for t in range(1, max_steps + 1):
-                    if active.size == 0:
-                        break
-                    x = apply_step(x)
-                    if telemetry:
-                        OBS.add("core.evolution.steps", active.size)
-                    dist = total_variation_to_reference(x, ref, validate=False)
-                    final[active] = dist
-                    hit = dist < epsilon
-                    if np.any(hit):
-                        if telemetry:
-                            # Convergence trace: early-exit masking means
-                            # the block shrinks; record every retirement.
-                            OBS.event(
-                                "rows_retired",
-                                step=t,
-                                chunk_lo=int(lo),
-                                retired=int(hit.sum()),
-                                still_active=int(active.size - hit.sum()),
-                            )
-                        times[active[hit]] = t
-                        x = x[~hit]
-                        active = active[~hit]
-                    last_t = t
-                if telemetry:
-                    OBS.observe("core.hitting.steps_per_chunk", last_t)
-                    OBS.add("core.hitting.unconverged_rows", int(active.size))
-            return HittingTimes(times=times, final_distances=final)
 
     # ------------------------------------------------------------------
     # Distribution-start measurement (uniform-start / warm-start modes)
@@ -615,39 +537,8 @@ class MarkovOperator(ABC):
         design (the callers pass a handful of rows, far below where the
         pool pays for itself).
         """
-        lengths = np.asarray(walk_lengths, dtype=np.int64).ravel()
-        if lengths.size == 0:
-            raise ValueError("walk_lengths must be non-empty")
-        if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
-            raise ValueError("walk_lengths must be strictly increasing and nonnegative")
-        policy = policy if policy is not None else as_policy(None)
-        x_all = self._check_block(block)
-        ref = self.stationary() if reference is None else self._check_vector(
-            reference, name="reference"
-        )
-        chunk_rows = resolve_block_size(
-            self._num_states,
-            policy.block_size,
-            memory_budget_bytes=policy_block_bytes(policy),
-        )
-        apply_step = self._resolve_step(policy)
-        if OBS.enabled:
-            OBS.add("core.evolution.rows", x_all.shape[0])
-            OBS.add("core.evolution.steps", int(lengths[-1]) * x_all.shape[0])
-        max_len = int(lengths[-1])
-        out = np.empty((x_all.shape[0], lengths.size), dtype=np.float64)
-        for lo in range(0, x_all.shape[0], chunk_rows):
-            x = x_all[lo:lo + chunk_rows].copy()
-            col = 0
-            for t in range(max_len + 1):
-                if col < lengths.size and lengths[col] == t:
-                    out[lo:lo + x.shape[0], col] = total_variation_to_reference(
-                        x, ref, validate=False
-                    )
-                    col += 1
-                if t < max_len:
-                    x = apply_step(x)
-        return out
+        lengths = _check_walk_lengths(walk_lengths)
+        return self._distribution_sweep(block, reference, policy, checkpoints=lengths)
 
     def distribution_hitting_times(
         self,
@@ -665,46 +556,139 @@ class MarkovOperator(ABC):
         block).  Rows that never converge within ``max_steps`` get time
         ``-1``.
         """
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-        if max_steps < 0:
-            raise ValueError("max_steps must be nonnegative")
-        policy = policy if policy is not None else as_policy(None)
+        _check_hitting(epsilon, max_steps)
+        return self._distribution_sweep(
+            block, reference, policy, epsilon=epsilon, max_steps=max_steps
+        )
+
+    def _distribution_sweep(self, block, reference, policy, **stop):
+        policy = as_policy(policy)
         x_all = self._check_block(block)
-        ref = self.stationary() if reference is None else self._check_vector(
-            reference, name="reference"
-        )
-        chunk_rows = resolve_block_size(
+        return _sweep(
+            lambda lo, hi: x_all[lo:hi].copy(),
+            x_all.shape[0],
+            _rowless(self._resolve_step(policy)),
+            self._reference(reference),
             self._num_states,
-            policy.block_size,
-            memory_budget_bytes=policy_block_bytes(policy),
+            policy,
+            **stop,
         )
-        apply_step = self._resolve_step(policy)
-        num_rows = x_all.shape[0]
-        if OBS.enabled:
-            OBS.add("core.evolution.rows", num_rows)
+
+
+# ----------------------------------------------------------------------
+# The sweep core: every TVD measurement in the package runs this loop
+# ----------------------------------------------------------------------
+def _check_walk_lengths(walk_lengths: Sequence[int]) -> np.ndarray:
+    """Checkpoint walk lengths as a strictly increasing int64 array."""
+    lengths = np.asarray(walk_lengths, dtype=np.int64).ravel()
+    if lengths.size == 0:
+        raise ValueError("walk_lengths must be non-empty")
+    if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
+        raise ValueError("walk_lengths must be strictly increasing and nonnegative")
+    return lengths
+
+
+def _check_hitting(epsilon: float, max_steps: int) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+
+
+def _rowless(apply_step: Callable[[np.ndarray], np.ndarray]) -> SweepStep:
+    """Adapt a plain block kernel to the core's ``step(x, rows)`` form."""
+    return lambda x, _rows: apply_step(x)
+
+
+def _sweep(
+    start: Callable[[int, int], np.ndarray],
+    num_rows: int,
+    step: SweepStep,
+    reference: np.ndarray,
+    num_states: int,
+    policy: ExecutionPolicy,
+    *,
+    checkpoints: Optional[np.ndarray] = None,
+    epsilon: Optional[float] = None,
+    max_steps: int = 0,
+    measure: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    span=None,
+):
+    """Evolve ``num_rows`` start rows and record their TVD to ``reference``.
+
+    ``start(lo, hi)`` builds the first block of rows ``[lo, hi)``;
+    ``step(x, rows)`` advances block ``x`` one step, ``rows`` being the
+    positions of its rows in ``[0, num_rows)``; ``measure``, when given,
+    maps a block into the space ``reference`` lives in before the TVD.
+    Rows are processed in chunks sized from :func:`policy_block_bytes`
+    for rows ``num_states`` wide.  One stop rule applies:
+
+    * ``checkpoints`` (strictly increasing walk lengths): returns the
+      ``(num_rows, len(checkpoints))`` distance table;
+    * ``epsilon``: a row retires once its distance drops below
+      ``epsilon``, shrinking the stepped block; returns
+      :class:`HittingTimes`, with ``-1`` for rows still above
+      ``epsilon`` after ``max_steps`` steps.
+
+    Rows are independent chains, so results do not depend on the chunk
+    size.
+    """
+    chunk_rows = resolve_block_size(
+        num_states, policy.block_size, memory_budget_bytes=policy_block_bytes(policy)
+    )
+    telemetry = OBS.enabled
+    if telemetry:
+        if span is not None:
+            span.set(chunk_rows=int(chunk_rows), path="serial")
+        OBS.add("core.evolution.rows", num_rows)
+        OBS.observe("core.evolution.chunk_rows", min(chunk_rows, num_rows))
+    if checkpoints is None:
+        last = max_steps
         times = np.full(num_rows, -1, dtype=np.int64)
         final = np.empty(num_rows, dtype=np.float64)
-        for lo in range(0, num_rows, chunk_rows):
-            x = x_all[lo:lo + chunk_rows].copy()
-            active = np.arange(lo, lo + x.shape[0], dtype=np.int64)
-            dist = total_variation_to_reference(x, ref, validate=False)
+    else:
+        last = int(checkpoints[-1])
+        out = np.empty((num_rows, checkpoints.size), dtype=np.float64)
+    for lo in range(0, num_rows, chunk_rows):
+        hi = min(lo + chunk_rows, num_rows)
+        x = start(lo, hi)
+        rows = np.arange(lo, hi, dtype=np.int64)
+        col = 0
+        for t in range(last + 1):
+            if t:
+                x = step(x, rows)
+                if telemetry:
+                    OBS.add("core.evolution.steps", rows.size)
+            if checkpoints is not None and checkpoints[col] != t:
+                continue
+            dist = total_variation_to_reference(
+                x if measure is None else measure(x), reference, validate=False
+            )
+            if checkpoints is not None:
+                out[lo:hi, col] = dist
+                col += 1
+                if telemetry:
+                    OBS.event(
+                        "tvd_checkpoint", step=t, chunk_lo=int(lo), rows=int(hi - lo),
+                        mean_tvd=float(dist.mean()), max_tvd=float(dist.max()),
+                    )
+                continue
+            final[rows] = dist
             hit = dist < epsilon
-            times[active[hit]] = 0
-            final[active] = dist
-            x = x[~hit]
-            active = active[~hit]
-            for t in range(1, max_steps + 1):
-                if active.size == 0:
+            if np.any(hit):
+                if telemetry and t:
+                    OBS.event(
+                        "rows_retired", step=t, chunk_lo=int(lo), retired=int(hit.sum()),
+                        still_active=int(rows.size - hit.sum()),
+                    )
+                times[rows[hit]] = t
+                x = x[~hit]
+                rows = rows[~hit]
+                if rows.size == 0:
                     break
-                x = apply_step(x)
-                if OBS.enabled:
-                    OBS.add("core.evolution.steps", active.size)
-                dist = total_variation_to_reference(x, ref, validate=False)
-                final[active] = dist
-                hit = dist < epsilon
-                if np.any(hit):
-                    times[active[hit]] = t
-                    x = x[~hit]
-                    active = active[~hit]
+        if telemetry and checkpoints is None:
+            OBS.observe("core.hitting.steps_per_chunk", t)
+            OBS.add("core.hitting.unconverged_rows", int(rows.size))
+    if checkpoints is None:
         return HittingTimes(times=times, final_distances=final)
+    return out

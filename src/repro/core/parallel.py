@@ -5,43 +5,48 @@ parallel across sources: every row of a
 :meth:`~repro.core.operators.MarkovOperator.variation_curves` /
 :meth:`~repro.core.operators.MarkovOperator.hitting_times` /
 :meth:`~repro.core.operators.MarkovOperator.evolve_block` call evolves an
-independent chain.  PR 1 turned the per-source python loop into chunked
-SpMM blocks; this module fans those blocks out across *processes* so a
-1000-source sweep uses every core instead of one.
+independent chain, and so does every random-route instance of the Sybil
+defenses.  This module fans those rows out across processes (or
+threads) so a 1000-source sweep uses every core instead of one.
 
 Design
 ------
-* **Publish once, attach zero-copy.**  The operator's CSR arrays
-  (``indptr``/``indices``/``data``), the reference (stationary) vector
-  and — for teleporting chains — the dangling mask are packed into a
-  single :mod:`multiprocessing.shared_memory` segment by
-  :func:`publish_operator`.  Workers attach ``numpy`` views straight onto
-  the segment (no pickling of the matrix, no per-worker copy) and
-  rebuild a lightweight operator around them.
+* **One fan-out.**  Every sharded sweep is described by a
+  :class:`_Sweep` — a row count, a module-level shard function
+  ``run(state, *args)``, per-shard arguments, the in-process ``state``
+  and how to publish that state — and executed by :func:`_fan_out`:
+  worker count → checkpoint fingerprint → publication → the
+  fault-tolerant :func:`~repro.core.runtime.run_sharded` → concatenation.
+  The ``maybe_parallel_*`` functions only build that description.
+* **Publish once, attach zero-copy.**  Under ``execution="processes"``
+  the state's arrays (an operator's CSR arrays, reference vector and
+  dangling mask, or the route engine's tables) are packed into a single
+  :mod:`multiprocessing.shared_memory` segment.  Workers attach
+  ``numpy`` views straight onto it (no pickling of the matrix, no
+  per-worker copy), rebuild the same kind of state around them, and call
+  the same shard function the serial path calls.  Under
+  ``execution="threads"`` publication is skipped: shards run on the
+  in-process state.
 * **Same kernel, same numbers.**  Worker operators either inherit the
   base ``X @ P`` kernel or invoke
   ``DirectedTransitionOperator._apply_block`` *itself* on duck-typed
   state, so the arithmetic executed in a worker is the exact code the
-  serial path runs.  Rows are independent, scipy's CSR SpMM accumulates
-  each output row in a fixed order, and shards are reassembled in source
-  order — parallel output is therefore **bit-for-bit identical** to the
-  serial block path (``tests/core/test_parallel.py`` pins this for every
+  serial path runs.  Rows are independent and shards are reassembled in
+  row order — parallel output is therefore **bit-for-bit identical** to
+  the serial path (``tests/core/test_parallel.py`` pins this for every
   operator flavour, worker count and chunk boundary).
-* **Deterministic reassembly.**  Sources are sharded into contiguous
-  ``np.array_split`` slices; ``Pool.map`` preserves task order, and the
-  parent concatenates shard results positionally.  Scheduling order can
-  vary; output order and values cannot.
-* **Serial fallback.**  Every ``maybe_parallel_*`` entry point returns
-  ``None`` — and the caller runs the proven serial path — when
-  ``workers`` resolves to <= 1, the platform cannot ``fork`` (the pool
-  relies on copy-on-write module state), shared memory is unavailable,
-  ``REPRO_PARALLEL=0`` is set, or the operator carries a custom
-  ``_apply_block`` this runtime does not know how to replicate.
+* **Serial fallback.**  Every ``maybe_parallel_*`` function returns
+  ``None`` — and the caller runs its serial path — when ``workers``
+  resolves to <= 1 (and no checkpoint directory is set), there are no
+  rows, the platform cannot ``fork`` (the pool relies on copy-on-write
+  module state), shared memory is unavailable, ``REPRO_PARALLEL=0`` is
+  set, or the operator carries a custom ``_apply_block`` this runtime
+  does not know how to replicate.
 
-The public surface for callers is the ``workers=`` keyword on the
-:class:`~repro.core.operators.MarkovOperator` block APIs (and the
-``--workers`` CLI flag / ``ExperimentConfig.workers`` knob above them);
-the functions here are the runtime those keywords dispatch to.
+The public surface for callers is ``policy=ExecutionPolicy(workers=…)``
+on the :class:`~repro.core.operators.MarkovOperator` block APIs (and the
+``--workers`` CLI flag above them); the functions here are the runtime
+those policies dispatch to.
 """
 
 from __future__ import annotations
@@ -51,12 +56,13 @@ import os
 import signal
 import threading
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..obs import OBS
-from .operators import HittingTimes, MarkovOperator, resolve_block_size
+from .operators import HittingTimes, MarkovOperator
 from .runtime import DEFAULT_POLICY, ExecutionPolicy, run_sharded, sweep_fingerprint
 
 __all__ = [
@@ -80,7 +86,7 @@ __all__ = [
     "unpin_published_operator",
 ]
 
-#: Shards per worker: oversharding lets ``Pool.map`` rebalance uneven
+#: Shards per worker: oversharding lets the pool rebalance uneven
 #: per-source work (hitting times vary wildly across sources) while the
 #: contiguous, order-preserving reassembly keeps results deterministic.
 _OVERSHARD = 4
@@ -203,12 +209,11 @@ class OperatorPayload(NamedTuple):
     arrays themselves live in the named shared-memory segment.
     """
 
-    kind: str  # "csr" | "teleport" | "originator" | "mmap"
+    kind: str  # "csr" | "teleport" | "mmap"
     num_states: int
     shm_name: str
     fields: Tuple[_ArrayField, ...]
     damping: float = 1.0
-    beta: float = 0.0
     #: ``"mmap"`` only: the on-disk ``.csr`` container workers re-map
     #: (instead of copying 2m int64s into the segment) and the laziness
     #: of the striped transition matrix rebuilt on top of it.
@@ -219,19 +224,15 @@ class OperatorPayload(NamedTuple):
 class RoutePayload(NamedTuple):
     """Picklable description of published random-route state.
 
-    The segment carries the route engine's graph-derived arrays (arc
-    sources + reverse-slot map, or a built ``next_slot`` table) plus any
-    per-sweep state (pre-drawn start slots, node masks); instance seeds
-    never cross the boundary as data — workers re-derive them from the
-    root ``entropy`` via ``SeedSequence(entropy, spawn_key=(i,))``,
-    which reconstructs ``root.spawn(n)[i]`` exactly.
+    The segment carries the route engine's arrays (arc sources +
+    reverse-slot map + pre-drawn start slots, or a built ``next_slot``
+    table + node mask); scalars such as the root seed entropy travel
+    with each shard's arguments instead.
     """
 
     kind: str  # "route_tails" | "route_hits"
-    num_nodes: int
     shm_name: str
     fields: Tuple[_ArrayField, ...]
-    entropy: object = None
 
 
 class SharedOperatorHandle:
@@ -380,7 +381,7 @@ def install_signal_cleanup(signums: Tuple[int, ...] = (signal.SIGTERM,)) -> None
 # against the same graph: every request would re-pack the CSR arrays
 # into a fresh segment.  The service's OperatorRegistry instead *pins*
 # the publication: the segment stays live across requests and
-# ``maybe_parallel_*`` sweeps check the pin table before publishing.
+# operator sweeps check the pin table before publishing.
 # Pins are keyed by the identity of the operator's CSR matrix (the
 # object the registry keeps alive for exactly as long as the pin, so id
 # reuse cannot alias) and record the published reference vector; a sweep
@@ -441,34 +442,22 @@ def unpin_published_operator(operator) -> bool:
     return True
 
 
-class _LeasedPublication:
-    """Context manager: a pinned segment if one matches, else a fresh one.
+@contextmanager
+def _leased_publication(kind, matrix, extras, reference):
+    """A pinned segment if one matches, else a fresh one for this sweep.
 
-    The sweep wrappers use this in place of ``with publish_operator(...)``:
-    exit closes (unlinks) the segment only when this sweep published it —
+    Only a segment this sweep published is closed (unlinked) on exit —
     pinned segments outlive the sweep by design.
     """
-
-    __slots__ = ("_handle", "_owned")
-
-    def __init__(self, kind, matrix, extras, reference) -> None:
-        with _PINS_LOCK:
-            pinned = _PINNED.get(id(matrix))
-            if pinned is not None and pinned[1] is reference:
-                self._handle = pinned[2]
-                self._owned = False
-                if OBS.enabled:
-                    OBS.add("parallel.pinned_publish_hits")
-                return
-        self._handle = publish_operator(kind, matrix, reference, **extras)
-        self._owned = True
-
-    def __enter__(self) -> SharedOperatorHandle:
-        return self._handle
-
-    def __exit__(self, *exc) -> None:
-        if self._owned:
-            self._handle.close()
+    with _PINS_LOCK:
+        pinned = _PINNED.get(id(matrix))
+    if pinned is not None and pinned[1] is reference:
+        if OBS.enabled:
+            OBS.add("parallel.pinned_publish_hits")
+        yield pinned[2]
+        return
+    with publish_operator(kind, matrix, reference, **extras) as handle:
+        yield handle
 
 
 def _copy_fields(
@@ -500,97 +489,17 @@ def _layout_fields(
     return fields, offset
 
 
-def publish_operator(
-    kind: str,
-    matrix,
-    reference: Optional[np.ndarray] = None,
-    *,
-    damping: float = 1.0,
-    dangling: Optional[np.ndarray] = None,
-    beta: float = 0.0,
+def _publish_segment(
+    named: List[Tuple[str, np.ndarray]], make_payload: Callable[[str, tuple], tuple]
 ) -> SharedOperatorHandle:
-    """Pack CSR arrays (+ reference / dangling mask) into one segment.
+    """Pack ``named`` arrays into one new segment; ``make_payload(name, fields)``
+    describes it for workers.
 
-    Arrays are laid out back-to-back at cache-line alignment; the
-    returned handle's :attr:`~SharedOperatorHandle.payload` records the
-    layout so workers can rebuild zero-copy views.
-
+    Arrays are laid out back-to-back at cache-line alignment.
     Exception-safe: if anything after segment creation fails (the copy,
     payload assembly, …) the segment is closed **and unlinked** before
     the exception propagates, so a failed publish never leaves a stray
     ``/dev/shm`` entry behind (``tests/core/test_parallel_safety.py``).
-    """
-    from multiprocessing import shared_memory
-
-    publish_start = time.perf_counter() if OBS.enabled else 0.0
-
-    named: List[Tuple[str, np.ndarray]] = []
-    path = None
-    alpha = 0.0
-    if kind == "mmap":
-        # Path-based publication: workers re-map the on-disk container,
-        # so the segment carries only the sweep's reference vector.
-        path = matrix.path
-        alpha = float(matrix.laziness)
-    else:
-        named.extend(
-            [
-                ("data", np.ascontiguousarray(matrix.data)),
-                ("indices", np.ascontiguousarray(matrix.indices)),
-                ("indptr", np.ascontiguousarray(matrix.indptr)),
-            ]
-        )
-    if reference is not None:
-        named.append(("reference", np.ascontiguousarray(reference)))
-    if dangling is not None:
-        named.append(("dangling", np.ascontiguousarray(dangling)))
-
-    fields, offset = _layout_fields(named)
-    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    try:
-        _copy_fields(shm, fields, named)
-        payload = OperatorPayload(
-            kind=kind,
-            num_states=int(matrix.shape[0]),
-            shm_name=shm.name,
-            fields=tuple(fields),
-            damping=float(damping),
-            beta=float(beta),
-            path=path,
-            alpha=alpha,
-        )
-        handle = SharedOperatorHandle(payload, shm)
-        _register_segment(shm)
-    except BaseException:
-        # Never leak the segment: close our mapping and unlink the name.
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        raise
-    if OBS.enabled:
-        OBS.add("parallel.publishes")
-        OBS.add("parallel.publish_bytes", int(shm.size))
-        OBS.observe("parallel.publish_seconds", time.perf_counter() - publish_start)
-    return handle
-
-
-def publish_route_state(
-    kind: str,
-    named: List[Tuple[str, np.ndarray]],
-    *,
-    num_nodes: int,
-    entropy=None,
-) -> SharedOperatorHandle:
-    """Pack route-engine arrays into one shared segment.
-
-    The route analogue of :func:`publish_operator`: same segment format
-    (back-to-back cache-line-aligned arrays described by
-    ``_ArrayField`` records), same exception-safe unlink-on-failure
-    contract, same single-publish-per-sweep lifecycle — only the payload
-    type differs (:class:`RoutePayload` carries the root seed entropy so
-    workers can rebuild per-instance tables without shipping them).
     """
     from multiprocessing import shared_memory
 
@@ -600,14 +509,7 @@ def publish_route_state(
     shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
     try:
         _copy_fields(shm, fields, named)
-        payload = RoutePayload(
-            kind=kind,
-            num_nodes=int(num_nodes),
-            shm_name=shm.name,
-            fields=tuple(fields),
-            entropy=entropy,
-        )
-        handle = SharedOperatorHandle(payload, shm)
+        handle = SharedOperatorHandle(make_payload(shm.name, tuple(fields)), shm)
         _register_segment(shm)
     except BaseException:
         # Never leak the segment: close our mapping and unlink the name.
@@ -622,6 +524,61 @@ def publish_route_state(
         OBS.add("parallel.publish_bytes", int(shm.size))
         OBS.observe("parallel.publish_seconds", time.perf_counter() - publish_start)
     return handle
+
+
+def publish_operator(
+    kind: str,
+    matrix,
+    reference: Optional[np.ndarray] = None,
+    *,
+    damping: float = 1.0,
+    dangling: Optional[np.ndarray] = None,
+) -> SharedOperatorHandle:
+    """Pack CSR arrays (+ reference / dangling mask) into one segment.
+
+    The returned handle's :attr:`~SharedOperatorHandle.payload` records
+    the layout so workers can rebuild zero-copy views.  ``kind="mmap"``
+    publishes by path: workers re-map the on-disk container, so the
+    segment carries only the reference vector.
+    """
+    mmap = kind == "mmap"
+    named: List[Tuple[str, np.ndarray]] = []
+    if not mmap:
+        named += [
+            ("data", matrix.data),
+            ("indices", matrix.indices),
+            ("indptr", matrix.indptr),
+        ]
+    if reference is not None:
+        named.append(("reference", reference))
+    if dangling is not None:
+        named.append(("dangling", dangling))
+    return _publish_segment(
+        named,
+        lambda shm_name, fields: OperatorPayload(
+            kind=kind,
+            num_states=int(matrix.shape[0]),
+            shm_name=shm_name,
+            fields=fields,
+            damping=float(damping),
+            path=matrix.path if mmap else None,
+            alpha=float(matrix.laziness) if mmap else 0.0,
+        ),
+    )
+
+
+def publish_route_state(
+    kind: str, named: List[Tuple[str, np.ndarray]]
+) -> SharedOperatorHandle:
+    """Pack route-engine arrays into one shared segment.
+
+    The route analogue of :func:`publish_operator`: same segment format,
+    same exception-safe unlink-on-failure contract, same
+    single-publish-per-sweep lifecycle; only the payload type differs.
+    """
+    return _publish_segment(
+        named, lambda shm_name, fields: RoutePayload(kind, shm_name, fields)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -634,8 +591,9 @@ _ATTACHED: Dict[str, Tuple[object, Dict[str, np.ndarray], dict]] = {}
 
 #: Seconds the most recent :func:`_attach` in *this process* spent
 #: mapping the segment (0.0 when it hit the cache).  Read by
-#: :func:`_timed_task` so per-worker attach latency travels back to the
-#: parent alongside task results without a second IPC channel.
+#: :func:`repro.core.runtime._worker_shard` so per-worker attach latency
+#: travels back to the parent alongside task results without a second
+#: IPC channel.
 _ATTACH_SECONDS_PENDING = 0.0
 
 
@@ -685,13 +643,15 @@ def _attach(payload: OperatorPayload):
 
 
 class _SharedCSROperator(MarkovOperator):
-    """Worker-side stand-in built on shared-memory CSR views.
+    """Operator over a bare CSR matrix: the worker-side stand-in.
 
     Deliberately *not* constructed through any graph class — it owns the
     minimal state the :class:`~repro.core.operators.MarkovOperator`
     machinery needs and borrows that machinery wholesale (the inherited
-    ``X @ P`` kernel, chunking, early-exit masking), so a worker
-    executes the very same code path as the serial parent.
+    ``X @ P`` kernel, the sweep core), so a worker executes the very
+    same code path as the serial parent.  The originator sweep also
+    wraps its plain walk in one, parent-side, so both paths hand the
+    shard the same kind of state.
     """
 
     def __init__(self, matrix) -> None:
@@ -760,171 +720,82 @@ def _worker_operator(payload: OperatorPayload):
 
 
 # ----------------------------------------------------------------------
-# Worker task functions (must be module-level for pickling)
+# The fan-out
 # ----------------------------------------------------------------------
-def _curves_task(args) -> np.ndarray:
-    payload, sources, lengths, block_size, backend, memory_budget = args
-    operator, reference = _worker_operator(payload)
-    return operator.variation_curves(
-        sources,
-        lengths,
-        reference=reference,
-        policy=ExecutionPolicy(
-            block_size=block_size, backend=backend, memory_budget=memory_budget
-        ),
-    )
+def _run_task(task) -> Any:
+    """One shard inside a pool worker: ``task = (payload, run, args)``.
 
-
-def _hitting_task(args) -> Tuple[np.ndarray, np.ndarray]:
-    payload, sources, epsilon, max_steps, block_size, backend, memory_budget = args
-    operator, reference = _worker_operator(payload)
-    result = operator.hitting_times(
-        sources,
-        epsilon,
-        max_steps=max_steps,
-        reference=reference,
-        policy=ExecutionPolicy(
-            block_size=block_size, backend=backend, memory_budget=memory_budget
-        ),
-    )
-    return result.times, result.final_distances
-
-
-def _evolve_task(args) -> np.ndarray:
-    payload, block, steps, backend, memory_budget = args
-    operator, _reference = _worker_operator(payload)
-    return operator.evolve_block(
-        block,
-        steps,
-        policy=ExecutionPolicy(backend=backend, memory_budget=memory_budget),
-    )
-
-
-def _originator_task(args) -> np.ndarray:
-    payload, sources, lengths, block_size = args
-    from .trust import _originator_curves_chunks
-
-    operator, reference = _worker_operator(payload)
-    return _originator_curves_chunks(
-        operator._matrix, reference, sources, payload.beta, lengths, block_size
-    )
-
-
-def _route_tails_task(args) -> np.ndarray:
-    """Tails for one contiguous instance shard (worker side).
-
-    Attaches the published route state and runs the *same*
-    ``advance_route_shard`` kernel the serial fallback uses — tables are
-    rebuilt from the root entropy, start slots come pre-drawn from the
-    parent (so the rng stream is consumed exactly once, in the parent,
-    in instance order), and the result is the shard's
-    ``(nodes, hi - lo, lengths)`` tail cube.
+    The worker rebuilds the state ``run`` expects from the segment —
+    ``(operator, reference)`` for operator payloads, the array views for
+    route payloads — and calls ``run(state, *args)``, exactly as the
+    in-process path does with the parent's own state.
     """
-    payload, instance_lo, instance_hi, lengths, block_size = args
-    from ..sybil.routes import advance_route_shard
-
-    _shm, views, _cache = _attach(payload)
-    return advance_route_shard(
-        views["src"],
-        views["rev"],
-        payload.num_nodes,
-        payload.entropy,
-        instance_lo,
-        instance_hi,
-        views["starts"][instance_lo:instance_hi],
-        lengths,
-        block_size,
-    )
+    payload, run, args = task
+    if isinstance(payload, RoutePayload):
+        state = _attach(payload)[1]
+    else:
+        state = _worker_operator(payload)
+    return run(state, *args)
 
 
-def _route_hits_task(args) -> np.ndarray:
-    """Node-intersection scan for one contiguous slot shard (worker side)."""
-    payload, slot_lo, slot_hi, length = args
-    from ..sybil.sybilguard import route_hit_scan
+class _Sweep(NamedTuple):
+    """One sharded sweep over ``total`` independent rows."""
 
-    _shm, views, _cache = _attach(payload)
-    return route_hit_scan(
-        views["table"],
-        views["indices"],
-        views["src"],
-        views["mask"],
-        slot_lo,
-        slot_hi,
-        length,
-    )
-
-
-# ----------------------------------------------------------------------
-# Parent-side fan-out
-# ----------------------------------------------------------------------
-#: Registry of the picklable worker task functions, keyed by sweep kind.
-#: :func:`_run_tasks` uses the key both to pick the function and to tag
-#: per-task telemetry, so the instrumented path and the bare path call
-#: the *same* module-level functions.
-_TASK_FNS = {
-    "curves": _curves_task,
-    "hitting": _hitting_task,
-    "evolve": _evolve_task,
-    "originator": _originator_task,
-    "route_tails": _route_tails_task,
-    "route_hits": _route_hits_task,
-}
+    #: Sweep name: checkpoint namespace and telemetry tag.
+    kind: str
+    total: int
+    #: Module-level shard function ``run(state, *args(lo, hi))``.
+    run: Callable[..., Any]
+    #: Picklable arguments of the shard covering rows ``[lo, hi)``.
+    args: Callable[[int, int], tuple]
+    #: What ``run`` receives in this process.
+    state: Any
+    #: Context manager yielding the :class:`SharedOperatorHandle` that
+    #: workers rebuild ``state`` from (process execution only).
+    publish: Callable[[], Any]
+    #: Content-addressed checkpoint key; ``None``: never checkpointed.
+    fingerprint: Optional[Callable[[], str]] = None
+    #: Axis along which shard results are concatenated.
+    axis: int = 0
 
 
-def _timed_task(args):
-    """Telemetry wrapper executed *inside* a pool worker.
+def _fan_out(sweep: _Sweep, policy: ExecutionPolicy):
+    """Run ``sweep`` sharded, or return ``None`` for the caller's serial path.
 
-    Only dispatched when the parent has telemetry enabled (the fork
-    inherits ``OBS.enabled``, but worker-side registries die with the
-    child — so we ship the few scalars the parent wants back alongside
-    the result instead).  Returns
-    ``(elapsed_seconds, attach_seconds, worker_pid, result)``.
+    The sweep fans out when ``policy.workers`` resolves to more than one
+    worker and the execution mode is available here; with
+    ``policy.checkpoint_dir`` set (and a fingerprint) it runs — serially
+    if need be — through the checkpointing executor.  Shard results are
+    concatenated along ``sweep.axis`` (tuple results column by column).
     """
-    key, inner = args
-    start = time.perf_counter()
-    result = _TASK_FNS[key](inner)
-    elapsed = time.perf_counter() - start
-    return elapsed, _ATTACH_SECONDS_PENDING, os.getpid(), result
-
-
-def _policy_knobs(
-    policy: Optional[ExecutionPolicy],
-    workers: Optional[int],
-    block_size: Optional[int],
-) -> Tuple[ExecutionPolicy, Optional[int], Optional[int]]:
-    """Resolve the ``(policy, workers, block_size)`` triple.
-
-    The ``maybe_parallel_*`` entry points accept either an explicit
-    :class:`~repro.core.runtime.ExecutionPolicy` (which wins, and whose
-    ``workers``/``block_size`` fields are unpacked) or the bare legacy
-    knobs (kept un-deprecated at this internal layer — the public APIs
-    own the deprecation story via :func:`repro.core.runtime.as_policy`).
-    """
-    if policy is None:
-        return DEFAULT_POLICY, workers, block_size
-    return policy, policy.workers, policy.block_size
-
-
-def _note_parallel_path(workers: int, shards: int) -> None:
-    """Tag the enclosing operator span (if any) as having gone parallel."""
-    if not OBS.enabled:
-        return
-    span = OBS.current_span()
-    if span is not None:
-        span.set(path="parallel", workers=int(workers), shards=int(shards))
-
-
-def _shard(sources: np.ndarray, workers: int) -> List[np.ndarray]:
-    count = min(sources.size, workers * _OVERSHARD)
-    shards = [s for s in np.array_split(sources, count)]
-    if OBS.enabled:
-        for s in shards:
-            OBS.observe("parallel.shard_rows", s.size)
-    return shards
-
-
-def _effective_workers(workers: Optional[int], num_rows: int) -> int:
-    return min(resolve_workers(workers), max(num_rows, 0))
+    count = min(resolve_workers(policy.workers), sweep.total)
+    use_pool = count > 1 and _fanout_available(policy)
+    checkpointed = policy.checkpoint_dir is not None and sweep.fingerprint is not None
+    if sweep.total == 0 or not (use_pool or checkpointed):
+        return None
+    publish = use_pool and policy.execution == "processes"
+    span = OBS.current_span() if use_pool and OBS.enabled else None
+    if span is not None:  # tag the enclosing operator span
+        span.set(path="parallel", workers=count, shards=min(sweep.total, count * _OVERSHARD))
+    with (sweep.publish() if publish else nullcontext()) as handle:
+        parts = run_sharded(
+            kind=sweep.kind,
+            total=sweep.total,
+            policy=policy,
+            workers=count if use_pool else 1,
+            make_task=(
+                (lambda lo, hi: (handle.payload, sweep.run, sweep.args(lo, hi)))
+                if publish
+                else None
+            ),
+            serial_run=lambda lo, hi: sweep.run(sweep.state, *sweep.args(lo, hi)),
+            fingerprint=sweep.fingerprint() if checkpointed else None,
+            use_pool=use_pool,
+            overshard=_OVERSHARD,
+        )
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(column, axis=sweep.axis) for column in zip(*parts))
+    return np.concatenate(parts, axis=sweep.axis)
 
 
 def _operator_fingerprint(
@@ -969,516 +840,210 @@ def _operator_fingerprint(
     )
 
 
-def maybe_parallel_variation_curves(
-    operator,
-    sources: np.ndarray,
-    walk_lengths: np.ndarray,
-    *,
-    reference: np.ndarray,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-) -> Optional[np.ndarray]:
-    """Fan a validated ``variation_curves`` call out to a pool.
+def _operator_sweep(kind, operator, rows, reference, policy, run, args, fingerprint=None):
+    """:func:`_fan_out` over ``rows`` with ``state = (operator, reference)``.
 
-    Returns the assembled ``(s, w)`` array, or ``None`` when the serial
-    path should run instead (see module docstring for the fallback
-    rules).  Inputs are assumed validated by the calling operator.
+    Shard ``[lo, hi)`` runs ``run(state, rows[lo:hi], *args)``.  The
+    operator is published through the pin table, and
+    ``fingerprint(kind, matrix, extras)`` receives
+    :func:`describe_operator`'s classification.  Returns ``None`` when
+    the operator's step cannot be rebuilt in a worker.
+    """
+    described = describe_operator(operator)
+    if described is None:
+        return None
+    op_kind, matrix, extras = described
+    return _fan_out(
+        _Sweep(
+            kind=kind,
+            total=len(rows),
+            run=run,
+            args=lambda lo, hi: (rows[lo:hi], *args),
+            state=(operator, reference),
+            publish=lambda: _leased_publication(op_kind, matrix, extras, reference),
+            fingerprint=(
+                None if fingerprint is None else lambda: fingerprint(op_kind, matrix, extras)
+            ),
+        ),
+        policy,
+    )
+
+
+def _shard_policy(policy: ExecutionPolicy) -> ExecutionPolicy:
+    """The in-shard policy: serial, same chunking, backend and budget."""
+    return ExecutionPolicy(
+        block_size=policy.block_size,
+        backend=policy.backend,
+        memory_budget=policy.memory_budget,
+    )
+
+
+# Shard functions, shared by the in-process and the pool path.
+def _call_operator(state, rows, method: str, args: tuple, kwargs: dict):
+    """``operator.<method>(rows, *args, reference=…, **kwargs)``."""
+    operator, reference = state
+    if reference is not None:
+        kwargs = dict(kwargs, reference=reference)
+    return getattr(operator, method)(rows, *args, **kwargs)
+
+
+def _originator_shard(state, sources, beta, walk_lengths, policy) -> np.ndarray:
+    from .trust import _originator_curves
+
+    operator, reference = state
+    return _originator_curves(operator._matrix, reference, sources, beta, walk_lengths, policy)
+
+
+def _route_tails_shard(arrays, num_nodes, entropy, lo, hi, lengths, block_size):
+    from ..sybil.routes import advance_route_shard
+
+    return advance_route_shard(
+        arrays["src"], arrays["rev"], num_nodes, entropy, lo, hi,
+        arrays["starts"][lo:hi], lengths, block_size,
+    )
+
+
+def _route_hits_shard(arrays, lo, hi, length) -> np.ndarray:
+    from ..sybil.sybilguard import route_hit_scan
+
+    return route_hit_scan(
+        arrays["table"], arrays["indices"], arrays["src"], arrays["mask"], lo, hi, length
+    )
+
+
+# ----------------------------------------------------------------------
+# The sweeps: each describes itself and hands over to the fan-out.
+# Every one returns ``None`` when the caller's serial path should run.
+# ----------------------------------------------------------------------
+def maybe_parallel_variation_curves(
+    operator, sources, walk_lengths, *, reference, policy=DEFAULT_POLICY
+) -> Optional[np.ndarray]:
+    """Shard a validated ``variation_curves`` call across the pool.
+
     With ``policy.checkpoint_dir`` set the sweep is checkpointed (and
     resumed) per shard, even when the pool itself is unavailable.
     """
-    policy, workers, block_size = _policy_knobs(policy, workers, block_size)
-    count = _effective_workers(workers, sources.size)
-    threads = policy.execution == "threads"
-    use_pool = count > 1 and _fanout_available(policy)
-    if (not use_pool and policy.checkpoint_dir is None) or sources.size == 0:
-        return None
-    described = describe_operator(operator)
-    if described is None:
-        return None
-    kind, matrix, extras = described
-    fingerprint = None
-    if policy.checkpoint_dir is not None:
-        fingerprint = _operator_fingerprint(
-            "curves",
-            kind,
-            matrix,
-            extras,
-            reference,
-            sources,
-            walk_lengths,
+    return _operator_sweep(
+        "curves", operator, sources, reference, policy, _call_operator,
+        ("variation_curves", (walk_lengths,), {"policy": _shard_policy(policy)}),
+        lambda kind, matrix, extras: _operator_fingerprint(
+            "curves", kind, matrix, extras, reference, sources, walk_lengths,
             backend=policy.backend,
-        )
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        return operator.variation_curves(
-            sources[lo:hi],
-            walk_lengths,
-            reference=reference,
-            policy=ExecutionPolicy(
-                block_size=block_size,
-                backend=policy.backend,
-                memory_budget=policy.memory_budget,
-            ),
-        )
-
-    if use_pool and not threads:
-        with _LeasedPublication(kind, matrix, extras, reference) as handle:
-            payload = handle.payload
-
-            def make_task(lo: int, hi: int):
-                return (
-                    payload,
-                    sources[lo:hi],
-                    walk_lengths,
-                    block_size,
-                    policy.backend,
-                    policy.memory_budget,
-                )
-
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-            parts = run_sharded(
-                kind="curves",
-                total=int(sources.size),
-                policy=policy,
-                workers=count,
-                make_task=make_task,
-                serial_run=serial_run,
-                fingerprint=fingerprint,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-    else:
-        # Thread mode needs no publication — shards call the in-process
-        # serial kernel directly; run_sharded routes to the thread pool.
-        if use_pool:
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-        parts = run_sharded(
-            kind="curves",
-            total=int(sources.size),
-            policy=policy,
-            workers=count if use_pool else 1,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=fingerprint,
-            use_pool=use_pool,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts, axis=0)
+        ),
+    )
 
 
 def maybe_parallel_hitting_times(
-    operator,
-    sources: np.ndarray,
-    epsilon: float,
-    *,
-    max_steps: int,
-    reference: np.ndarray,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    operator, sources, epsilon, *, max_steps, reference, policy=DEFAULT_POLICY
 ) -> Optional[HittingTimes]:
-    """Parallel analogue of :func:`maybe_parallel_variation_curves` for
-    per-source hitting times (early-exit masking runs inside each
-    worker, exactly as in the serial chunks)."""
-    policy, workers, block_size = _policy_knobs(policy, workers, block_size)
-    count = _effective_workers(workers, sources.size)
-    threads = policy.execution == "threads"
-    use_pool = count > 1 and _fanout_available(policy)
-    if (not use_pool and policy.checkpoint_dir is None) or sources.size == 0:
-        return None
-    described = describe_operator(operator)
-    if described is None:
-        return None
-    kind, matrix, extras = described
-    fingerprint = None
-    if policy.checkpoint_dir is not None:
-        fingerprint = _operator_fingerprint(
-            "hitting",
-            kind,
-            matrix,
-            extras,
-            reference,
-            sources,
-            float(epsilon),
-            int(max_steps),
-            backend=policy.backend,
-        )
-
-    def serial_run(lo: int, hi: int):
-        result = operator.hitting_times(
-            sources[lo:hi],
-            epsilon,
-            max_steps=max_steps,
-            reference=reference,
-            policy=ExecutionPolicy(
-                block_size=block_size,
-                backend=policy.backend,
-                memory_budget=policy.memory_budget,
-            ),
-        )
-        return result.times, result.final_distances
-
-    if use_pool and not threads:
-        with _LeasedPublication(kind, matrix, extras, reference) as handle:
-            payload = handle.payload
-
-            def make_task(lo: int, hi: int):
-                return (
-                    payload,
-                    sources[lo:hi],
-                    epsilon,
-                    max_steps,
-                    block_size,
-                    policy.backend,
-                    policy.memory_budget,
-                )
-
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-            parts = run_sharded(
-                kind="hitting",
-                total=int(sources.size),
-                policy=policy,
-                workers=count,
-                make_task=make_task,
-                serial_run=serial_run,
-                fingerprint=fingerprint,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-    else:
-        if use_pool:
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-        parts = run_sharded(
-            kind="hitting",
-            total=int(sources.size),
-            policy=policy,
-            workers=count if use_pool else 1,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=fingerprint,
-            use_pool=use_pool,
-            overshard=_OVERSHARD,
-        )
-    times = np.concatenate([p[0] for p in parts])
-    final = np.concatenate([p[1] for p in parts])
-    return HittingTimes(times=times, final_distances=final)
+    """Shard a validated ``hitting_times`` call across the pool (early-exit
+    masking runs inside each shard, exactly as in the serial chunks)."""
+    out = _operator_sweep(
+        "hitting", operator, sources, reference, policy, _call_operator,
+        (
+            "hitting_times",
+            (epsilon,),
+            {"max_steps": max_steps, "policy": _shard_policy(policy)},
+        ),
+        lambda kind, matrix, extras: _operator_fingerprint(
+            "hitting", kind, matrix, extras, reference, sources,
+            float(epsilon), int(max_steps), backend=policy.backend,
+        ),
+    )
+    return None if out is None else HittingTimes(*out)
 
 
 def maybe_parallel_evolve_block(
-    operator,
-    block: np.ndarray,
-    steps: int,
-    *,
-    workers: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    operator, block, steps, *, policy=DEFAULT_POLICY
 ) -> Optional[np.ndarray]:
     """Shard a dense ``(s, n)`` block row-wise across the pool.
 
-    Rows are independent chains, so splitting/reassembling rows is
-    bit-for-bit neutral; the block rows themselves travel by pickle (a
-    one-off cost the ``steps`` SpMMs amortise) while the operator rides
-    shared memory.
+    The block rows travel by pickle (a one-off cost the ``steps`` SpMMs
+    amortise) while the operator rides shared memory.  Never
+    checkpointed: evolve blocks are usually one iteration of a larger
+    loop (e.g. SybilRank), so a content-addressed checkpoint would never
+    be revisited.
     """
-    policy, workers, _block_size = _policy_knobs(policy, workers, None)
-    count = _effective_workers(workers, block.shape[0])
-    threads = policy.execution == "threads"
-    if count <= 1 or steps == 0 or not _fanout_available(policy):
-        # No checkpoint-only path here: evolve blocks are usually one
-        # iteration of a larger loop (e.g. SybilRank), so their content
-        # changes every call and a content-addressed checkpoint would
-        # never be revisited.
+    if steps == 0:
         return None
-    described = describe_operator(operator)
-    if described is None:
-        return None
-    kind, matrix, extras = described
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        return operator.evolve_block(
-            block[lo:hi],
-            steps,
-            policy=ExecutionPolicy(
-                backend=policy.backend, memory_budget=policy.memory_budget
-            ),
-        )
-
-    if threads:
-        _note_parallel_path(count, min(int(block.shape[0]), count * _OVERSHARD))
-        parts = run_sharded(
-            kind="evolve",
-            total=int(block.shape[0]),
-            policy=policy,
-            workers=count,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=None,
-            use_pool=True,
-            overshard=_OVERSHARD,
-        )
-        return np.concatenate(parts, axis=0)
-
-    with publish_operator(kind, matrix, None, **extras) as handle:
-        payload = handle.payload
-
-        def make_task(lo: int, hi: int):
-            return (payload, block[lo:hi], steps, policy.backend, policy.memory_budget)
-
-        _note_parallel_path(count, min(int(block.shape[0]), count * _OVERSHARD))
-        parts = run_sharded(
-            kind="evolve",
-            total=int(block.shape[0]),
-            policy=policy,
-            workers=count,
-            make_task=make_task,
-            serial_run=serial_run,
-            fingerprint=None,
-            use_pool=True,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts, axis=0)
+    return _operator_sweep(
+        "evolve", operator, block, None, policy, _call_operator,
+        ("evolve_block", (steps,), {"policy": _shard_policy(policy)}),
+    )
 
 
 def maybe_parallel_originator_curves(
-    matrix,
-    reference: np.ndarray,
-    sources: np.ndarray,
-    beta: float,
-    walk_lengths: np.ndarray,
-    *,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    matrix, reference, sources, beta, walk_lengths, *, policy=DEFAULT_POLICY
 ) -> Optional[np.ndarray]:
-    """Fan the originator-biased trust sweep out to the pool.
+    """Shard the originator-biased trust sweep across the pool.
 
-    The biased chain is per-source (each row jumps back to *its own*
-    originator), so the payload carries ``beta`` and each worker runs
-    the shared chunk kernel from :mod:`repro.core.trust` on its shard.
+    Each row jumps back to *its own* originator, so only the plain
+    walk's matrix is published and each shard runs
+    :mod:`repro.core.trust`'s sweep on its sources.
     """
-    policy, workers, block_size = _policy_knobs(policy, workers, block_size)
-    count = _effective_workers(workers, sources.size)
-    threads = policy.execution == "threads"
-    use_pool = count > 1 and _fanout_available(policy)
-    if (not use_pool and policy.checkpoint_dir is None) or sources.size == 0:
-        return None
-    chunk_rows = resolve_block_size(matrix.shape[0], block_size)
-    fingerprint = None
-    if policy.checkpoint_dir is not None:
-        fingerprint = _operator_fingerprint(
-            "originator",
-            "originator",
-            matrix,
-            {"beta": float(beta)},
-            reference,
-            sources,
-            walk_lengths,
-        )
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        from .trust import _originator_curves_chunks
-
-        return _originator_curves_chunks(
-            matrix, reference, sources[lo:hi], beta, walk_lengths, chunk_rows
-        )
-
-    if use_pool and not threads:
-        with publish_operator("originator", matrix, reference, beta=beta) as handle:
-            payload = handle.payload
-
-            def make_task(lo: int, hi: int):
-                return (payload, sources[lo:hi], walk_lengths, chunk_rows)
-
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-            parts = run_sharded(
-                kind="originator",
-                total=int(sources.size),
-                policy=policy,
-                workers=count,
-                make_task=make_task,
-                serial_run=serial_run,
-                fingerprint=fingerprint,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-    else:
-        if use_pool:
-            _note_parallel_path(count, min(sources.size, count * _OVERSHARD))
-        parts = run_sharded(
-            kind="originator",
-            total=int(sources.size),
-            policy=policy,
-            workers=count if use_pool else 1,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=fingerprint,
-            use_pool=use_pool,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts, axis=0)
+    return _operator_sweep(
+        "originator", _SharedCSROperator(matrix), sources, reference, policy,
+        _originator_shard, (beta, walk_lengths, _shard_policy(policy)),
+        lambda _kind, _matrix, _extras: _operator_fingerprint(
+            "originator", "originator", matrix, {"beta": float(beta)},
+            reference, sources, walk_lengths,
+        ),
+    )
 
 
 def maybe_parallel_route_tails(
-    routes,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    *,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    routes, starts, lengths, *, policy=DEFAULT_POLICY
 ) -> Optional[np.ndarray]:
-    """Fan a route tail sweep out across instance shards.
+    """Shard a route tail sweep across contiguous instance ranges.
 
-    The parent pre-draws every instance's start slots (``starts`` is the
-    full ``(r, nodes)`` table, preserving the serial rng stream) and
-    publishes them alongside the graph-derived ``src``/``rev`` arrays;
-    each worker rebuilds its instances' tables from the root entropy and
-    steps them with the shared blocked kernel.  Shards are contiguous
-    instance ranges reassembled positionally along the instance axis, so
-    the output is bit-for-bit the serial blocked result.  Returns
-    ``None`` for the usual serial-fallback reasons.  The checkpoint key
-    hashes the arc arrays, root entropy, pre-drawn starts and lengths,
-    so SybilLimit admission sweeps resume without replaying a draw.
+    The parent pre-draws every instance's start slots (``starts``, the
+    full ``(r, nodes)`` table, preserving the serial rng stream); each
+    shard rebuilds its instances' tables from the root entropy and steps
+    them with the shared blocked kernel, and shards are reassembled
+    along the instance axis.  The checkpoint key hashes the arc arrays,
+    root entropy, pre-drawn starts and lengths, so SybilLimit admission
+    sweeps resume without replaying a draw.
     """
-    policy, workers, block_size = _policy_knobs(policy, workers, block_size)
-    num_instances = int(starts.shape[0])
-    count = _effective_workers(workers, num_instances)
-    threads = policy.execution == "threads"
-    use_pool = count > 1 and _fanout_available(policy)
-    if (not use_pool and policy.checkpoint_dir is None) or num_instances == 0:
-        return None
-    from ..sybil.routes import advance_route_shard, arc_sources, reverse_slots
+    from ..sybil.routes import arc_sources, reverse_slots
 
     graph = routes.graph
-    src = arc_sources(graph)
-    rev = reverse_slots(graph)
+    num_nodes = int(graph.num_nodes)
     entropy = routes._entropy
-    fingerprint = None
-    if policy.checkpoint_dir is not None:
-        fingerprint = sweep_fingerprint(
-            "route_tails", src, rev, int(graph.num_nodes), entropy, starts, lengths
-        )
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        return advance_route_shard(
-            src,
-            rev,
-            graph.num_nodes,
-            entropy,
-            lo,
-            hi,
-            starts[lo:hi],
-            lengths,
-            block_size,
-        )
-
-    if use_pool and not threads:
-        named = [("src", src), ("rev", rev), ("starts", starts)]
-        with publish_route_state(
-            "route_tails", named, num_nodes=graph.num_nodes, entropy=entropy
-        ) as handle:
-            payload = handle.payload
-
-            def make_task(lo: int, hi: int):
-                return (payload, lo, hi, lengths, block_size)
-
-            _note_parallel_path(count, min(num_instances, count * _OVERSHARD))
-            parts = run_sharded(
-                kind="route_tails",
-                total=num_instances,
-                policy=policy,
-                workers=count,
-                make_task=make_task,
-                serial_run=serial_run,
-                fingerprint=fingerprint,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-    else:
-        if use_pool:
-            _note_parallel_path(count, min(num_instances, count * _OVERSHARD))
-        parts = run_sharded(
+    arrays = {"src": arc_sources(graph), "rev": reverse_slots(graph), "starts": starts}
+    return _fan_out(
+        _Sweep(
             kind="route_tails",
-            total=num_instances,
-            policy=policy,
-            workers=count if use_pool else 1,
-            make_task=None,
-            serial_run=serial_run,
-            fingerprint=fingerprint,
-            use_pool=use_pool,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts, axis=1)
+            total=int(starts.shape[0]),
+            run=_route_tails_shard,
+            args=lambda lo, hi: (num_nodes, entropy, lo, hi, lengths, policy.block_size),
+            state=arrays,
+            publish=lambda: publish_route_state("route_tails", list(arrays.items())),
+            fingerprint=lambda: sweep_fingerprint(
+                "route_tails", arrays["src"], arrays["rev"], num_nodes, entropy,
+                starts, lengths,
+            ),
+            axis=1,
+        ),
+        policy,
+    )
 
 
 def maybe_parallel_route_hits(
-    table: np.ndarray,
-    indices: np.ndarray,
-    src: np.ndarray,
-    mask: np.ndarray,
-    length: int,
-    *,
-    workers: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
+    table, indices, src, mask, length, *, policy=DEFAULT_POLICY
 ) -> Optional[np.ndarray]:
-    """Fan SybilGuard's per-slot node-intersection scan across the pool.
-
-    Shards the ``2m`` directed slots contiguously; every worker advances
-    its shard through the *same* published ``next_slot`` table and ORs
-    node hits stepwise (``repro.sybil.sybilguard.route_hit_scan``).
-    Reassembly is positional, the scan is branch-free boolean algebra —
-    parallel output is bit-for-bit the serial scan.  (No checkpoint
-    path: the scan is an inner per-length loop, cheap relative to the
-    tail sweeps that feed it.)
-    """
-    policy, workers, _block_size = _policy_knobs(policy, workers, None)
-    num_slots = int(table.shape[0])
-    count = _effective_workers(workers, num_slots)
-    if count <= 1 or not _fanout_available(policy):
-        return None
-    from ..sybil.sybilguard import route_hit_scan
-
-    def serial_run(lo: int, hi: int) -> np.ndarray:
-        return route_hit_scan(table, indices, src, mask, lo, hi, int(length))
-
-    if policy.execution == "threads":
-        _note_parallel_path(count, min(num_slots, count * _OVERSHARD))
-        return np.concatenate(
-            run_sharded(
-                kind="route_hits",
-                total=num_slots,
-                policy=policy,
-                workers=count,
-                make_task=None,
-                serial_run=serial_run,
-                fingerprint=None,
-                use_pool=True,
-                overshard=_OVERSHARD,
-            )
-        )
-
-    named = [
-        ("table", table),
-        ("indices", indices),
-        ("src", src),
-        ("mask", mask),
-    ]
-    with publish_route_state("route_hits", named, num_nodes=mask.shape[0]) as handle:
-        payload = handle.payload
-
-        def make_task(lo: int, hi: int):
-            return (payload, lo, hi, int(length))
-
-        _note_parallel_path(count, min(num_slots, count * _OVERSHARD))
-        parts = run_sharded(
+    """Shard SybilGuard's per-slot node-intersection scan
+    (``repro.sybil.sybilguard.route_hit_scan``) over contiguous slot
+    ranges.  Never checkpointed: the scan is an inner per-length loop,
+    cheap relative to the tail sweeps that feed it."""
+    arrays = {"table": table, "indices": indices, "src": src, "mask": mask}
+    return _fan_out(
+        _Sweep(
             kind="route_hits",
-            total=num_slots,
-            policy=policy,
-            workers=count,
-            make_task=make_task,
-            serial_run=serial_run,
-            fingerprint=None,
-            use_pool=True,
-            overshard=_OVERSHARD,
-        )
-    return np.concatenate(parts)
+            total=int(table.shape[0]),
+            run=_route_hits_shard,
+            args=lambda lo, hi: (lo, hi, int(length)),
+            state=arrays,
+            publish=lambda: publish_route_state("route_hits", list(arrays.items())),
+        ),
+        policy,
+    )

@@ -16,8 +16,8 @@ across every call site.  This module fixes both:
   ``block_size=`` kwargs keep working as deprecated aliases
   (:func:`as_policy` maps them onto a policy and emits a
   ``DeprecationWarning``).
-* :func:`run_sharded` is the fault-tolerant executor the
-  ``maybe_parallel_*`` entry points (:mod:`repro.core.parallel`) drive:
+* :func:`run_sharded` is the fault-tolerant executor behind the one
+  fan-out in :mod:`repro.core.parallel`:
   failed shards (dead worker, timeout, unpicklable exception) are
   retried up to ``max_retries`` times with exponential backoff on a
   rebuilt pool, and any shard still failing afterwards is **degraded to
@@ -608,21 +608,25 @@ def _split_ranges(
 # Pool worker entry point
 # ----------------------------------------------------------------------
 def _worker_shard(args):
-    """Module-level pool task: fault injection, then the sweep kernel.
+    """Module-level pool task: fault injection, then the shard itself.
 
-    ``args`` is ``(kind, shard_index, inner, timed)`` — ``inner`` is the
-    kind's regular task tuple (see ``repro.core.parallel._TASK_FNS``)
-    and ``timed`` mirrors the parent's telemetry flag so the result
-    travels back wrapped as ``(elapsed, attach_seconds, pid, result)``
-    exactly like the PR-3 instrumented path.
+    ``args`` is ``(kind, shard_index, task, timed)``: ``task`` is the
+    ``(payload, run, args)`` triple built by
+    :func:`repro.core.parallel._fan_out`, and ``timed`` mirrors the
+    parent's telemetry flag.  Worker-side registries die with the child,
+    so when it is set the result travels back wrapped as
+    ``(elapsed, attach_seconds, pid, result)``.
     """
-    kind, shard_index, inner, timed = args
-    from .parallel import _TASK_FNS, _timed_task
+    _kind, shard_index, task, timed = args
+    from . import parallel
 
     maybe_inject_fault(shard_index)
-    if timed:
-        return _timed_task((kind, inner))
-    return _TASK_FNS[kind](inner)
+    if not timed:
+        return parallel._run_task(task)
+    start = time.perf_counter()
+    result = parallel._run_task(task)
+    elapsed = time.perf_counter() - start
+    return elapsed, parallel._ATTACH_SECONDS_PENDING, os.getpid(), result
 
 
 # ----------------------------------------------------------------------

@@ -31,8 +31,7 @@ import numpy as np
 from ..errors import NotConnectedError
 from ..graph import Graph, is_connected
 from .._util import check_node_index
-from .distances import total_variation_to_reference
-from .operators import MarkovOperator, resolve_block_size
+from .operators import MarkovOperator, _check_walk_lengths, _sweep
 from .runtime import ExecutionPolicy, as_policy
 from .stationary import stationary_distribution, weighted_stationary_distribution
 
@@ -123,43 +122,36 @@ class WeightedTransitionOperator(MarkovOperator):
         return weighted_stationary_distribution(self._strength)
 
 
-def _originator_curves_chunks(
+def _originator_curves(
     plain,
     pi: np.ndarray,
     src: np.ndarray,
     beta: float,
     lengths: np.ndarray,
-    chunk_rows: int,
+    policy: ExecutionPolicy,
 ) -> np.ndarray:
-    """Chunked kernel of the originator-biased sweep.
+    """The originator-biased sweep over ``src`` on the plain CSR matrix.
 
     One function, two execution contexts: the serial path below calls it
-    with the full source list, and the shared-memory pool workers of
-    :mod:`repro.core.parallel` call it on their shard with CSR/``pi``
-    views attached straight to the published segment.  Rows are
-    independent (each row's bias targets its *own* originator), so the
-    split is bit-for-bit neutral.
+    with the full source list, and :mod:`repro.core.parallel` calls it
+    on each shard (in pool workers, with CSR/``pi`` views attached to
+    the published segment).  Rows are independent (each row's bias
+    targets its *own* originator), so the split is bit-for-bit neutral.
     """
-    n = plain.shape[0]
-    max_len = int(lengths[-1])
-    out = np.empty((src.size, lengths.size), dtype=np.float64)
-    for lo in range(0, src.size, chunk_rows):
-        chunk = src[lo:lo + chunk_rows]
-        rows = np.arange(chunk.size)
-        x = np.zeros((chunk.size, n), dtype=np.float64)
-        x[rows, chunk] = 1.0
-        col = 0
-        for t in range(max_len + 1):
-            if col < lengths.size and lengths[col] == t:
-                out[lo:lo + chunk.size, col] = total_variation_to_reference(
-                    x, pi, validate=False
-                )
-                col += 1
-            if t < max_len:
-                moved = np.asarray(x @ plain)
-                x = (1.0 - beta) * moved
-                x[rows, chunk] += beta
-    return out
+
+    def step(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        x = (1.0 - beta) * np.asarray(x @ plain)
+        x[np.arange(rows.size), src[rows]] += beta
+        return x
+
+    def start(lo: int, hi: int) -> np.ndarray:
+        x = np.zeros((hi - lo, plain.shape[0]), dtype=np.float64)
+        x[np.arange(hi - lo), src[lo:hi]] = 1.0
+        return x
+
+    return _sweep(
+        start, src.size, step, pi, plain.shape[0], policy, checkpoints=lengths
+    )
 
 
 def originator_biased_curves(
@@ -186,11 +178,7 @@ def originator_biased_curves(
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
     policy = as_policy(policy, workers=workers, block_size=block_size)
-    lengths = np.asarray(walk_lengths, dtype=np.int64).ravel()
-    if lengths.size == 0:
-        raise ValueError("walk_lengths must be non-empty")
-    if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
-        raise ValueError("walk_lengths must be strictly increasing and nonnegative")
+    lengths = _check_walk_lengths(walk_lengths)
     src = np.asarray(
         [check_node_index(s, graph.num_nodes, name="source") for s in np.asarray(sources).ravel()],
         dtype=np.int64,
@@ -213,8 +201,7 @@ def originator_biased_curves(
         )
         if out is not None:
             return out
-    chunk_rows = resolve_block_size(n, policy.block_size)
-    return _originator_curves_chunks(plain, pi, src, beta, lengths, chunk_rows)
+    return _originator_curves(plain, pi, src, beta, lengths, policy)
 
 
 def originator_biased_curve(

@@ -107,6 +107,28 @@ def _as_source_tuple(sources: Union[int, Sequence[int]]) -> Tuple[int, ...]:
     return out
 
 
+def _check_sources(query, num_states: int) -> None:
+    """Reject point-query sources outside the leased graph's nodes.
+
+    Checked before the cache and before coalescing, so one bad source is
+    a client error for its own request and never fails a merged sweep.
+    """
+    if getattr(query, "mode", "point_mass") == "uniform_start":
+        return
+    if query.query_type == "mixing_time":
+        sources: Tuple[int, ...] = (query.source,)
+    elif query.query_type == "variation_curve":
+        sources = query.sources
+    else:
+        return
+    for source in sources:
+        if not 0 <= source < num_states:
+            raise ConfigurationError(
+                f"source {source} out of range for dataset {query.dataset!r} "
+                f"with {num_states} nodes"
+            )
+
+
 def _check_query_mode(mode: str, laziness: float) -> None:
     from ..core.mixing import MEASUREMENT_MODES
 
@@ -643,6 +665,7 @@ class QueryEngine:
                 return self._submit_trend(query, start)
             laziness = getattr(query, "laziness", 0.0)
             with self.registry.acquire(query.dataset, laziness=laziness) as lease:
+                _check_sources(query, lease.operator.num_states)
                 key = query.fingerprint(lease.graph_key)
                 tag = self._numeric_tag()
                 if tag is not None:

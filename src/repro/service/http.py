@@ -12,15 +12,21 @@ merged sweep.  No third-party framework, no event loop; the endpoint is
 * ``GET /stats`` — engine / cache / registry counters.
 * ``GET /health`` — liveness probe.
 
-Errors map to transport codes: malformed requests and unknown datasets
-are 400 (:class:`~repro.errors.ReproError` subclasses carry the message),
-anything else is 500 — the server never dies on a bad request.
+Errors map to transport codes: malformed requests (bad JSON, a bad
+``Content-Length``, out-of-range sources) and unknown datasets are 400
+(:class:`~repro.errors.ReproError` subclasses carry the message).
+Anything else is 500 with an opaque body, ``{"error": "internal error",
+"error_id": …}``; the traceback goes to stderr under the same id, so a
+reply never exposes internals.  The server never dies on a bad request.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import traceback
+import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
@@ -50,15 +56,25 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ReproError("request body required")
-        if length > _MAX_BODY_BYTES:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0 or length > _MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            if length < 0:
+                raise ReproError(f"invalid Content-Length {header!r}")
             raise ReproError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
+        if length == 0:
+            raise ReproError("request body required")
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
@@ -88,10 +104,14 @@ class _Handler(BaseHTTPRequestHandler):
                 OBS.add("service.http.bad_requests")
             self._reply(400, {"error": str(exc)})
             return
-        except Exception as exc:  # keep serving after an internal failure
+        except Exception:  # keep serving after an internal failure
             if OBS.enabled:
                 OBS.add("service.http.errors")
-            self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+            error_id = uuid.uuid4().hex
+            sys.stderr.write(
+                f"internal error {error_id} on POST /query:\n{traceback.format_exc()}"
+            )
+            self._reply(500, {"error": "internal error", "error_id": error_id})
             return
         self._reply(200, reply)
 

@@ -31,7 +31,6 @@ from repro.core import (
 )
 from repro.core.parallel import (
     _ATTACHED,
-    _shard,
     _worker_operator,
     describe_operator,
     maybe_parallel_evolve_block,
@@ -39,6 +38,7 @@ from repro.core.parallel import (
     maybe_parallel_variation_curves,
     publish_operator,
 )
+from repro.core.runtime import ExecutionPolicy
 from tests.core.test_operators import ALL_KINDS, _er_graph, make_operator
 
 needs_pool = pytest.mark.skipif(
@@ -78,7 +78,7 @@ class TestFallbackRules:
             np.asarray(sources, dtype=np.int64),
             np.asarray([0, 1, 2], dtype=np.int64),
             reference=op.stationary(),
-            workers=workers,
+            policy=ExecutionPolicy(workers=workers),
         )
 
     @pytest.mark.parametrize("workers", [None, 0, 1])
@@ -124,7 +124,7 @@ class TestFallbackRules:
     def test_evolve_zero_steps_falls_back(self):
         op = make_operator("plain")
         block = op.point_mass_block([0, 1, 2, 3])
-        assert maybe_parallel_evolve_block(op, block, 0, workers=4) is None
+        assert maybe_parallel_evolve_block(op, block, 0, policy=ExecutionPolicy(workers=4)) is None
 
     def test_hitting_single_source_falls_back(self):
         op = make_operator("plain")
@@ -134,7 +134,7 @@ class TestFallbackRules:
             0.5,
             max_steps=10,
             reference=op.stationary(),
-            workers=4,
+            policy=ExecutionPolicy(workers=4),
         )
         assert out is None
 
@@ -182,12 +182,6 @@ class TestPublishAttach:
             if entry is not None:
                 del entry  # drop views before closing the mapping
             handle.close()
-
-    def test_sharding_is_contiguous_and_complete(self):
-        sources = np.arange(23, dtype=np.int64)
-        shards = _shard(sources, 4)
-        assert np.array_equal(np.concatenate(shards), sources)
-        assert all(s.size >= 1 for s in shards)
 
 
 # ----------------------------------------------------------------------

@@ -119,6 +119,57 @@ class TestErrorMapping:
         assert response.status == 400
         assert "JSON" in body["error"]
 
+    def test_out_of_range_source_is_400(self, client, graphs):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="400.*source 1000000000 out of range"):
+            client.mixing_time("era", 1_000_000_000, 0.25)
+        n = graphs["era"].num_nodes
+        with pytest.raises(ConfigurationError, match="400.*out of range"):
+            client.variation_curve("era", [0, n], WALKS)
+        # The server keeps answering valid queries on the same dataset.
+        assert client.mixing_time("era", 0, 0.25).value["source"] == 0
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, server, length):
+        import http.client
+
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read().decode())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert body == {"error": f"invalid Content-Length {length!r}"}
+
+    def test_internal_error_is_opaque_500(self, server, client, monkeypatch, capfd):
+        def broken_submit(query):
+            raise RuntimeError("secret internal detail")
+
+        monkeypatch.setattr(server.engine, "submit", broken_submit)
+        conn = client._conn
+        conn.request(
+            "POST",
+            "/query",
+            body=json.dumps({"type": "slem", "dataset": "era"}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        body = json.loads(response.read().decode())
+        assert response.status == 500
+        assert set(body) == {"error", "error_id"}
+        assert body["error"] == "internal error"
+        assert "secret" not in json.dumps(body)
+        logged = capfd.readouterr().err
+        assert body["error_id"] in logged
+        assert "RuntimeError: secret internal detail" in logged
+
     def test_server_survives_bad_requests(self, client):
         from repro.errors import ConfigurationError
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import parallel_backend_available
 from repro.core.parallel import maybe_parallel_route_hits, maybe_parallel_route_tails
+from repro.core.runtime import ExecutionPolicy
 from repro.graph import Graph
 from repro.sybil import RouteInstances, SybilGuard, SybilLimit, SybilLimitParams, no_attack_scenario
 from repro.sybil.routes import (
@@ -178,7 +179,9 @@ class TestParallelRoutes:
         starts = np.tile(petersen.indptr[:-1], (3, 1)).astype(np.int64)
         for workers in (None, 0, 1):
             assert (
-                maybe_parallel_route_tails(ri, starts, LENGTHS, workers=workers)
+                maybe_parallel_route_tails(
+                    ri, starts, LENGTHS, policy=ExecutionPolicy(workers=workers)
+                )
                 is None
             )
 
@@ -214,7 +217,7 @@ class TestParallelRoutes:
             table, bridge_graph.indices, src, mask, 0, table.size, 9
         )
         parallel = maybe_parallel_route_hits(
-            table, bridge_graph.indices, src, mask, 9, workers=2
+            table, bridge_graph.indices, src, mask, 9, policy=ExecutionPolicy(workers=2)
         )
         assert parallel is not None
         assert np.array_equal(serial, parallel)
