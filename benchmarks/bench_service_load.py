@@ -73,16 +73,13 @@ def server():
 
 
 def _append_record(results_dir, record: dict) -> None:
+    """Append one dated record; earlier records are history and stay."""
     path = results_dir / "service_load.json"
     records = []
     if path.exists():
         records = json.loads(path.read_text(encoding="utf-8"))
-    key = (record["benchmark"], record["clients"])
-    records = [
-        r for r in records if (r.get("benchmark"), r.get("clients")) != key
-    ]
+    record["recorded"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     records.append(record)
-    records.sort(key=lambda r: (r.get("benchmark", ""), r.get("clients", 0)))
     path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
 
 

@@ -44,6 +44,10 @@ _MAX_BODY_BYTES = 4 * 1024 * 1024
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket (set by StreamRequestHandler.setup).
+    # With Nagle on, a reply written after an unacknowledged segment
+    # waits for the client's delayed ACK, ~40 ms, on every round trip.
+    disable_nagle_algorithm = True
     # Set per-server via the factory in ServiceServer.__init__.
     engine: QueryEngine = None
 
@@ -52,14 +56,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------
     def _reply(self, status: int, payload: dict) -> None:
+        """Send status line, headers and body as one write."""
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would write the header block on its own; queue the
+        # blank line and the body behind it so flush_headers() sends all.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _read_body(self) -> dict:
         header = self.headers.get("Content-Length") or "0"

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import socket
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from repro.service import (
     ServiceClient,
     ServiceServer,
 )
+from repro.service.http import _Handler
 
 WALKS = [1, 2, 4, 8]
 SOURCES = [0, 2, 5]
@@ -90,6 +94,84 @@ class TestEndpoints:
             client._request("GET", "/nope")
 
 
+class _RecordingWriter:
+    """Wraps a handler's ``wfile`` and keeps a copy of every write."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestTransport:
+    """Each reply leaves in one write on a socket with Nagle off, so a
+    closed-loop client never waits out its peer's delayed ACK."""
+
+    def test_accepted_socket_has_nodelay(self, server, monkeypatch):
+        seen = []
+        original = _Handler.handle
+
+        def handle(self):
+            seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            original(self)
+
+        monkeypatch.setattr(_Handler, "handle", handle)
+        host, port = server.address
+        with HTTPServiceClient(host, port) as c:
+            assert c.health() == {"status": "ok"}
+        assert seen == [1]
+
+    def test_client_socket_has_nodelay(self, client):
+        client.health()
+        sock = client._conn.sock
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+    @pytest.mark.parametrize(
+        "status, method, path, body",
+        [
+            (200, "GET", "/health", None),
+            (200, "POST", "/query", b'{"type": "slem", "dataset": "era"}'),
+            (400, "POST", "/query", b"{not json"),
+            (404, "GET", "/nope", None),
+        ],
+        ids=["health", "query", "bad-json", "unknown-path"],
+    )
+    def test_reply_is_one_write(self, server, client, monkeypatch, status, method, path, body):
+        writes = []
+        original = _Handler.setup
+
+        def setup(self):
+            original(self)
+            self.wfile = _RecordingWriter(self.wfile, writes)
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        client._conn.request(method, path, body=body)
+        response = client._conn.getresponse()
+        payload = response.read()
+        assert response.status == status
+        assert len(writes) == 1
+        head, _, sent_body = writes[0].partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert f"Content-Length: {len(payload)}".encode() in head
+        assert sent_body == payload
+
+    def test_back_to_back_round_trips_are_fast(self, client):
+        client.health()  # connect
+        times = []
+        for _ in range(30):
+            t0 = time.perf_counter()
+            assert client.health() == {"status": "ok"}
+            times.append(time.perf_counter() - t0)
+        # A delayed-ACK stall costs ~40 ms per round trip.
+        assert statistics.median(times) < 0.010, times
+
+
 class TestErrorMapping:
     def test_unknown_query_type_is_400(self, client):
         from repro.errors import ConfigurationError
@@ -148,6 +230,30 @@ class TestErrorMapping:
         assert response.status == 400
         assert body == {"error": f"invalid Content-Length {length!r}"}
 
+    def test_bad_content_length_closes_then_client_reconnects(self, client, graphs):
+        client.health()  # connect
+        # A second descriptor on the same socket outlives the client's close.
+        peer = client._conn.sock.dup()
+        try:
+            conn = client._conn
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read().decode())
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert body == {"error": "invalid Content-Length 'abc'"}
+            peer.settimeout(5.0)
+            assert peer.recv(1) == b""  # the server closed its end
+        finally:
+            peer.close()
+        # The same client reconnects on its next request.
+        reply = client.variation_curve("era", SOURCES, WALKS)
+        batch = measure_mixing(graphs["era"], WALKS, sources=SOURCES).distances
+        assert np.array_equal(np.asarray(reply.value, dtype=np.float64), batch)
+
     def test_internal_error_is_opaque_500(self, server, client, monkeypatch, capfd):
         def broken_submit(query):
             raise RuntimeError("secret internal detail")
@@ -161,14 +267,21 @@ class TestErrorMapping:
             headers={"Content-Type": "application/json"},
         )
         response = conn.getresponse()
-        body = json.loads(response.read().decode())
+        raw = response.read()
+        body = json.loads(raw.decode())
         assert response.status == 500
         assert set(body) == {"error", "error_id"}
         assert body["error"] == "internal error"
         assert "secret" not in json.dumps(body)
+        assert raw == json.dumps(
+            {"error": "internal error", "error_id": body["error_id"]}
+        ).encode()
         logged = capfd.readouterr().err
         assert body["error_id"] in logged
         assert "RuntimeError: secret internal detail" in logged
+        # A 500 does not close the connection; the next request reuses it.
+        monkeypatch.undo()
+        assert client.health() == {"status": "ok"}
 
     def test_server_survives_bad_requests(self, client):
         from repro.errors import ConfigurationError
