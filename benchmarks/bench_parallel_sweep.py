@@ -62,7 +62,9 @@ def sources(operator):
 
 
 def _sweep(operator, sources, workers):
-    return operator.variation_curves(sources, _WALKS, workers=workers)
+    return operator.variation_curves(
+        sources, _WALKS, policy=ExecutionPolicy(workers=workers)
+    )
 
 
 def _append_record(results_dir, record: dict) -> None:

@@ -37,7 +37,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import parallel_backend_available
+from repro.core import ExecutionPolicy, parallel_backend_available
 from repro.datasets import load_cached
 from repro.sampling import bfs_sample
 from repro.sybil import (
@@ -153,7 +153,9 @@ def test_route_engine_identity_gate(graph, sources):
     lengths = np.asarray(_LENGTHS, dtype=np.int64)
     reference = ri._tails_at_lengths_reference(sources, lengths, seed=5)
     for block_size in (None, 1, 7, 24):
-        got = ri.tails_at_lengths(sources, lengths, seed=5, block_size=block_size)
+        got = ri.tails_at_lengths(
+            sources, lengths, seed=5, policy=ExecutionPolicy(block_size=block_size)
+        )
         assert np.array_equal(got, reference)
 
 
@@ -214,7 +216,9 @@ def test_route_engine_pool_speedup_gate(graph, sources, results_dir):
 
     def timed(workers):
         start = time.perf_counter()
-        out = ri.tails_at_lengths(sources, lengths, seed=3, workers=workers)
+        out = ri.tails_at_lengths(
+            sources, lengths, seed=3, policy=ExecutionPolicy(workers=workers)
+        )
         return time.perf_counter() - start, out
 
     t_serial = t_pool = float("inf")

@@ -51,11 +51,12 @@ def results_dir() -> Path:
 
 def result_metadata(config: ExperimentConfig) -> dict:
     """The provenance block recorded next to every benchmark result."""
+    policy = config.execution_policy
     return {
         "mode": config.mode,
         "seed": config.seed,
-        "workers": config.workers,
-        "evolution_block_size": config.evolution_block_size,
+        "workers": policy.workers,
+        "evolution_block_size": policy.block_size,
         "telemetry": OBS.enabled,
     }
 

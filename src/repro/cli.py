@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         metavar="NAME",
-        help="SpMM backend for block evolution (numpy, tiled, streaming, "
+        help="SpMM backend for block evolution (numpy, streaming, "
         "float32; default numpy; float64 backends are bit-identical, "
         "float32 trades precision for memory bandwidth; streaming walks "
         "the operator in --memory-budget sized stripes for out-of-core "

@@ -9,12 +9,6 @@ lets that product be served by interchangeable kernels, selected via
 ``"numpy"`` (default)
     scipy's native ``block @ csr`` — bit-for-bit the kernels every
     pinned golden value was produced with.  Choosing it changes nothing.
-``"tiled"``
-    A cache-tiled pure-numpy CSC rank-stripe kernel that reproduces the
-    scipy accumulation order **exactly** (float64 output is
-    ``np.array_equal`` to the numpy backend), with an optional numba JIT
-    inner loop when numba is importable (``REPRO_NUMBA=0`` disables the
-    JIT without uninstalling anything).
 ``"float32"``
     Single-precision SpMM: the block and matrix are downcast to float32
     for the multiply and the result upcast to float64.  Cheap on
@@ -26,8 +20,8 @@ lets that product be served by interchangeable kernels, selected via
     sized to ``ExecutionPolicy(memory_budget=…)``, double-buffering the
     next stripe's load on a helper thread while the current stripe
     multiplies.  Each output column is accumulated wholly inside one
-    stripe in the same rank order as the tiled kernel, so the result is
-    bit-for-bit identical to the numpy oracle while only ever holding
+    stripe in scipy's own nonzero order, so the result is bit-for-bit
+    identical to the numpy oracle while only ever holding
     two stripes of matrix data in memory.  Combined with
     :class:`repro.graph.storage.MemmapGraph` (whose transition matrix
     serves stripes straight off ``np.memmap``) it runs sweeps over
@@ -55,7 +49,6 @@ the differential harness re-pins for every registered name.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -75,7 +68,6 @@ __all__ = [
     "available_backends",
     "backend_numeric",
     "get_backend",
-    "numba_available",
     "register_backend",
     "stripe_bounds",
     "validate_backend",
@@ -84,16 +76,6 @@ __all__ = [
 #: The backend every policy uses unless told otherwise: scipy's own
 #: kernels, i.e. exactly the arithmetic all pinned values came from.
 DEFAULT_BACKEND = "numpy"
-
-#: Environment kill-switch for the optional numba JIT inside the tiled
-#: backend: ``REPRO_NUMBA=0`` forces the pure-numpy stripe kernel even
-#: when numba is importable (CI runs the differential harness both ways).
-_NUMBA_ENV = "REPRO_NUMBA"
-
-#: Columns per tile in the pure-numpy stripe kernel: small enough that a
-#: tile's output columns stay cache-resident across its stripes, large
-#: enough to amortise the per-stripe fancy-indexing overhead.
-_TILE_COLS = 64
 
 #: Stripe-buffer budget the streaming backend assumes when prepared
 #: without an explicit ``memory_budget`` (the differential harness and
@@ -129,22 +111,6 @@ FLOAT32_CURVE_ATOL = 1e-4
 FLOAT32_TIME_SLACK = 1
 
 
-def numba_available() -> bool:
-    """True when the tiled backend may JIT its inner loop with numba.
-
-    Requires numba to be importable *and* ``REPRO_NUMBA`` unset/non-zero
-    — the env switch lets CI exercise the pure-numpy stripe kernel on
-    machines where numba happens to be installed.
-    """
-    if os.environ.get(_NUMBA_ENV, "") == "0":
-        return False
-    try:
-        import numba  # noqa: F401  (probe import)
-    except Exception:
-        return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Kernel factories
 # ----------------------------------------------------------------------
@@ -164,7 +130,7 @@ def _csc_arrays(matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     transposed view: output column ``j`` accumulates
     ``X[:, rows[k]] * vals[k]`` over ``k`` in column ``j``'s slice, in
     increasing ``k`` (= increasing source-row) order.  Reproducing that
-    accumulation order is what makes the tiled backend bit-for-bit.
+    accumulation order is what makes the streaming backend bit-for-bit.
     """
     csc = matrix.tocsc()
     csc.sort_indices()
@@ -173,81 +139,6 @@ def _csc_arrays(matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.ascontiguousarray(csc.indices),
         np.ascontiguousarray(csc.data, dtype=np.float64),
     )
-
-
-_NUMBA_KERNEL_CACHE: Dict[str, Any] = {}
-
-
-def _numba_csc_kernel():
-    """Compile (once) the JIT inner loop replicating ``csc_matvecs``."""
-    kernel = _NUMBA_KERNEL_CACHE.get("csc")
-    if kernel is None:
-        import numba
-
-        @numba.njit(cache=False)
-        def csc_spmm(indptr, rows, vals, x, out):  # pragma: no cover - jit
-            ncols = indptr.shape[0] - 1
-            nrows = x.shape[0]
-            for j in range(ncols):
-                for k in range(indptr[j], indptr[j + 1]):
-                    r = rows[k]
-                    v = vals[k]
-                    for i in range(nrows):
-                        out[i, j] += x[i, r] * v
-
-        kernel = csc_spmm
-        _NUMBA_KERNEL_CACHE["csc"] = kernel
-    return kernel
-
-
-def _prepare_tiled(matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Cache-tiled CSC rank-stripe SpMM, bit-identical to the oracle.
-
-    The pure-numpy path vectorises over *stripes*: stripe ``t`` touches,
-    for every column with at least ``t + 1`` entries, that column's
-    ``t``-th nonzero.  Within one column the stripes run in increasing
-    ``k`` order, so each output element accumulates its terms in exactly
-    the order scipy's ``csc_matvecs`` does — same floating-point
-    sequence, same bits.  Columns are processed in tiles of
-    :data:`_TILE_COLS` so a tile's output columns stay hot across its
-    stripes.  When :func:`numba_available`, the per-element loop is
-    JIT-compiled instead (identical accumulation order).
-    """
-    indptr, rows, vals = _csc_arrays(matrix)
-    n_cols = indptr.shape[0] - 1
-    if numba_available():
-        kernel = _numba_csc_kernel()
-
-        def step(block: np.ndarray) -> np.ndarray:
-            x = np.ascontiguousarray(block, dtype=np.float64)
-            out = np.zeros((x.shape[0], n_cols), dtype=np.float64)
-            kernel(indptr, rows, vals, x, out)
-            return out
-
-        return step
-
-    deg = np.diff(indptr)
-    tiles: List[Tuple[int, int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = []
-    for lo in range(0, n_cols, _TILE_COLS):
-        hi = min(lo + _TILE_COLS, n_cols)
-        tile_deg = deg[lo:hi]
-        tile_max = int(tile_deg.max()) if tile_deg.size else 0
-        stripes = []
-        for t in range(tile_max):
-            cols = lo + np.flatnonzero(tile_deg > t)
-            pos = indptr[cols] + t
-            stripes.append((cols, rows[pos], vals[pos]))
-        tiles.append((lo, hi, stripes))
-
-    def step(block: np.ndarray) -> np.ndarray:
-        x = np.asarray(block, dtype=np.float64)
-        out = np.zeros((x.shape[0], n_cols), dtype=np.float64)
-        for _lo, _hi, stripes in tiles:
-            for cols, srcs, weights in stripes:
-                out[:, cols] += x[:, srcs] * weights
-        return out
-
-    return step
 
 
 def _prepare_float32(matrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -299,13 +190,12 @@ def stripe_bounds(csc_indptr: np.ndarray, budget_bytes: int) -> List[int]:
 
 
 def _apply_csc_stripe(
-    x: np.ndarray,
+    xT: np.ndarray,
     out: np.ndarray,
     col_offset: int,
     local_indptr: np.ndarray,
     rows: np.ndarray,
     vals: np.ndarray,
-    xT: Optional[np.ndarray] = None,
 ) -> None:
     """Accumulate one CSC column stripe into ``out`` in oracle order.
 
@@ -315,32 +205,27 @@ def _apply_csc_stripe(
     so striping cannot reassociate any sum: the result is independent of
     the stripe plan.
 
-    The rank-stripe scheme this replaces looped ``max(column degree)``
-    times per tile — O(max_deg) fancy-indexing passes, pathological on
-    power-law graphs whose hub columns are thousands deep.  Instead the
-    stripe's transpose *is* a valid CSR matrix over the same arrays, and
-    scipy's ``csr_matvecs`` kernel folds each output row strictly in
-    increasing nonzero position — precisely the per-column order the
-    oracle commits to — at C speed.  (``np.add.reduceat`` was tried and
-    rejected here: numpy's inner reduce loop is pairwise for runs longer
-    than 8 elements, which flips low-order bits on hub columns.)  The
+    A rank-stripe loop (one fancy-indexing pass per column rank) would
+    take ``max(column degree)`` passes — pathological on power-law
+    graphs whose hub columns are thousands deep.  Instead the stripe's
+    transpose *is* a valid CSR matrix over the same arrays, and scipy's
+    ``csr_matvecs`` kernel folds each output row strictly in increasing
+    nonzero position — precisely the per-column order the oracle commits
+    to — at C speed.  (``np.add.reduceat`` was tried and rejected here:
+    numpy's inner reduce loop is pairwise for runs longer than 8
+    elements, which flips low-order bits on hub columns.)  The
     differential harness in tests/core/test_backends.py and
     tests/core/test_outofcore.py pins bit-identity against the oracle.
 
-    ``xT`` lets the streaming step pass one C-contiguous transpose of
-    ``x`` for the whole stripe walk; without it scipy would re-copy the
-    dense block for every stripe.
+    ``xT`` is the C-contiguous transpose of the dense block, taken once
+    per step; passing ``x`` itself would make scipy re-copy the block
+    for every stripe.
     """
-    width = int(local_indptr.shape[0]) - 1
-    if numba_available():
-        _numba_csc_kernel()(local_indptr, rows, vals, x, out[:, col_offset:col_offset + width])
-        return
     if not vals.size:
         return
     from scipy.sparse import csr_matrix
 
-    if xT is None:
-        xT = np.ascontiguousarray(x.T)
+    width = int(local_indptr.shape[0]) - 1
     stripe_t = csr_matrix(
         (vals, rows, local_indptr), shape=(width, xT.shape[0]), copy=False
     )
@@ -395,12 +280,12 @@ def _prepare_streaming(
     def step(block: np.ndarray) -> np.ndarray:
         x = np.asarray(block, dtype=np.float64)
         out = np.zeros((x.shape[0], n_cols), dtype=np.float64)
+        xT = np.ascontiguousarray(x.T)
         if n_stripes <= 1:
             if n_stripes:
                 col0, local_indptr, rows, vals = load(0)
-                _apply_csc_stripe(x, out, col0, local_indptr, rows, vals)
+                _apply_csc_stripe(xT, out, col0, local_indptr, rows, vals)
             return out
-        xT = None if numba_available() else np.ascontiguousarray(x.T)
         # Double buffer: a helper thread keeps up to two stripes staged
         # while the main thread multiplies.  The thread lives for one
         # step call only, so nothing leaks if the operator is dropped.
@@ -436,7 +321,7 @@ def _prepare_streaming(
                 if tag == "err":
                     raise payload
                 col0, local_indptr, rows, vals = payload
-                _apply_csc_stripe(x, out, col0, local_indptr, rows, vals, xT=xT)
+                _apply_csc_stripe(xT, out, col0, local_indptr, rows, vals)
         finally:
             cancel.set()
         return out
@@ -534,15 +419,6 @@ register_backend(
         numeric="float64",
         factory=_prepare_numpy,
         description="scipy native block x CSR (the oracle; default)",
-    )
-)
-register_backend(
-    SpmmBackend(
-        name="tiled",
-        numeric="float64",
-        factory=_prepare_tiled,
-        description="cache-tiled CSC rank-stripe kernel, bit-identical to "
-        "the oracle; numba-JIT inner loop when importable",
     )
 )
 register_backend(

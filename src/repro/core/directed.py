@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import ConvergenceError, NotConnectedError
 from ..graph.digraph import DiGraph, strongly_connected_components
 from .operators import MarkovOperator
-from .runtime import ExecutionPolicy, as_policy
+from .runtime import ExecutionPolicy
 
 __all__ = [
     "DirectedTransitionOperator",
@@ -202,15 +202,13 @@ def directed_variation_curves(
     *,
     damping: float = 1.0,
     operator: Optional[DirectedTransitionOperator] = None,
-    block_size: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional["ExecutionPolicy"] = None,
 ) -> np.ndarray:
     """Multi-source directed measurement: ``(s, w)`` TVD checkpoints.
 
     The batched companion of :func:`directed_variation_curve`: one
     power-iterated stationary solve, then every source evolved through
-    the shared block API — with ``workers > 1`` fanned out across the
+    the shared block API — with ``policy.workers > 1`` fanned out across the
     shared-memory sweep runtime (:mod:`repro.core.parallel`; both the
     pure-CSR and the teleporting kernel are supported, dangling mask
     included).
@@ -221,5 +219,5 @@ def directed_variation_curves(
         sources,
         walk_lengths,
         reference=pi,
-        policy=as_policy(policy, workers=workers, block_size=block_size),
+        policy=policy,
     )

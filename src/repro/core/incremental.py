@@ -39,7 +39,7 @@ bit-for-bit.
 Matvecs route through the pluggable SpMM backend seam
 (:mod:`repro.core.backends`): non-default backends wrap their prepared
 step closure in a counted ``LinearOperator``, so the incremental path
-inherits the tiled / float32 / streaming kernels and their telemetry.
+inherits the float32 / streaming kernels and their telemetry.
 The default ``"numpy"`` backend takes a fast path — a counted native
 CSR matvec — because the numpy backend's step *is* the scipy product
 and the per-call wrapper overhead would otherwise dominate the solve.

@@ -211,8 +211,6 @@ def measure_mixing(
     laziness: float = 0.0,
     check_aperiodic: bool = True,
     operator: Optional[MarkovOperator] = None,
-    block_size: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
     mode: str = "point_mass",
 ) -> PerSourceMixing:
@@ -238,19 +236,13 @@ def measure_mixing(
         given, ``laziness``/``check_aperiodic`` are ignored.  Results
         are bit-identical to the cold path because the sweep itself is
         unchanged.
-    block_size:
-        Sources per evolution chunk; ``None`` sizes the chunk from the
-        operator layer's memory budget (see
-        :func:`~repro.core.operators.resolve_block_size`).
-    workers:
-        Process count for the shared-memory sweep runtime
-        (:mod:`repro.core.parallel`); ``None``/``1`` stays serial,
-        ``-1`` uses every core.  Parallel output is bit-for-bit equal
-        to serial.  Deprecated alias — prefer ``policy=``.
     policy:
         An :class:`~repro.core.runtime.ExecutionPolicy` bundling all
         execution knobs (workers, block size, retries, shard timeout,
-        checkpoint directory).  Passing ``checkpoint_dir`` makes this
+        checkpoint directory).  ``workers > 1`` runs the shared-memory
+        sweep runtime (:mod:`repro.core.parallel`), bit-for-bit equal
+        to serial; ``block_size=None`` sizes chunks from the operator
+        layer's memory budget.  Passing ``checkpoint_dir`` makes this
         sweep resumable: completed shards are persisted and skipped on
         restart, with bit-identical final output.
     mode:
@@ -266,7 +258,7 @@ def measure_mixing(
     """
     _check_mode(mode, laziness=laziness, operator=operator)
     lengths = _check_walk_lengths(list(walk_lengths))
-    run_policy = as_policy(policy, workers=workers, block_size=block_size)
+    run_policy = as_policy(policy)
 
     if mode == "uniform_start":
         if operator is None:
@@ -344,8 +336,6 @@ def estimate_mixing_time(
     seed=None,
     laziness: float = 0.0,
     operator: Optional[MarkovOperator] = None,
-    block_size: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
     mode: str = "point_mass",
 ) -> MixingTimeEstimate:
@@ -363,7 +353,7 @@ def estimate_mixing_time(
     :meth:`~repro.core.operators.MarkovOperator.hitting_times`, with
     early-exit masking: rows whose distance has already fallen below
     ``epsilon`` stop being stepped, so the block shrinks as sources
-    converge.  ``workers > 1`` shards the sources across the
+    converge.  ``policy.workers > 1`` shards the sources across the
     shared-memory process pool (:mod:`repro.core.parallel`) with
     bit-for-bit identical results.
 
@@ -372,7 +362,7 @@ def estimate_mixing_time(
     ``max_steps`` (partial results are attached to the error).
     """
     _check_mode(mode, laziness=laziness, operator=operator)
-    run_policy = as_policy(policy, workers=workers, block_size=block_size)
+    run_policy = as_policy(policy)
 
     if mode == "uniform_start":
         if operator is None:

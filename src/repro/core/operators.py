@@ -320,7 +320,6 @@ class MarkovOperator(ABC):
         block: np.ndarray,
         steps: int,
         *,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> np.ndarray:
         """A whole block after ``steps`` applications of P.
@@ -330,12 +329,11 @@ class MarkovOperator(ABC):
         the fault-tolerant process pool (rows are independent chains, so
         sharding is bit-for-bit neutral); the serial path runs whenever
         the pool is unavailable or pointless (see
-        :mod:`repro.core.parallel`).  The bare ``workers=`` kwarg is a
-        deprecated alias.
+        :mod:`repro.core.parallel`).
         """
         if steps < 0:
             raise ValueError("steps must be nonnegative")
-        policy = as_policy(policy, workers=workers)
+        policy = as_policy(policy)
         x = self._check_block(block)
         with OBS.span(
             "core.evolve_block",
@@ -392,7 +390,6 @@ class MarkovOperator(ABC):
         max_steps: int,
         *,
         reference: Optional[np.ndarray] = None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> np.ndarray:
         """``curve[t] = || pi - pi^{(source)} P^t ||_1`` for t = 0..max_steps.
@@ -403,7 +400,6 @@ class MarkovOperator(ABC):
         """
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        policy = as_policy(policy, workers=workers)
         return self.variation_curves(
             [source], np.arange(max_steps + 1), reference=reference, policy=policy
         )[0]
@@ -414,8 +410,6 @@ class MarkovOperator(ABC):
         walk_lengths: Sequence[int],
         *,
         reference: Optional[np.ndarray] = None,
-        block_size: Optional[int] = None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> np.ndarray:
         """TVD to ``reference`` at each checkpoint for every source.
@@ -430,11 +424,10 @@ class MarkovOperator(ABC):
         fans the chunks out across the fault-tolerant shared-memory pool
         (:mod:`repro.core.parallel`) with bit-for-bit identical,
         order-preserving results, and ``checkpoint_dir`` persists/
-        resumes completed shards.  The bare ``workers=``/``block_size=``
-        kwargs are deprecated aliases.
+        resumes completed shards.
         """
         lengths = _check_walk_lengths(walk_lengths)
-        policy = as_policy(policy, workers=workers, block_size=block_size)
+        policy = as_policy(policy)
         src = np.asarray(sources, dtype=np.int64).ravel()
         ref = self._reference(reference)
 
@@ -458,8 +451,6 @@ class MarkovOperator(ABC):
         *,
         max_steps: int = 10_000,
         reference: Optional[np.ndarray] = None,
-        block_size: Optional[int] = None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> HittingTimes:
         """Per-source ``min { t : || ref - pi^{(i)} P^t ||_1 < eps }``.
@@ -475,7 +466,7 @@ class MarkovOperator(ABC):
         result is bit-for-bit equal to the serial one.
         """
         _check_hitting(epsilon, max_steps)
-        policy = as_policy(policy, workers=workers, block_size=block_size)
+        policy = as_policy(policy)
         src = np.asarray(sources, dtype=np.int64).ravel()
         ref = self._reference(reference)
 

@@ -6,16 +6,13 @@ TVD curves (equation (2)) and SybilLimit admission sweeps over hundreds
 of route lengths.  The PR-2 shared-memory pool fans those sweeps out
 across processes, but a single SIGKILLed worker (OOM killer, preempted
 container) used to lose the whole run, and the knobs steering the
-runtime (``workers=``, ``block_size=``) had sprawled as ad-hoc kwargs
-across every call site.  This module fixes both:
+runtime had sprawled as ad-hoc kwargs across every call site.  This
+module fixes both:
 
 * :class:`ExecutionPolicy` is the single object that carries every
   execution knob — worker count, chunk size, retry budget, per-shard
   timeout, checkpoint directory — and is accepted as ``policy=`` by all
-  block APIs, sweeps and Sybil runners.  The legacy ``workers=`` /
-  ``block_size=`` kwargs keep working as deprecated aliases
-  (:func:`as_policy` maps them onto a policy and emits a
-  ``DeprecationWarning``).
+  block APIs, sweeps and Sybil runners (the only way to set them).
 * :func:`run_sharded` is the fault-tolerant executor behind the one
   fan-out in :mod:`repro.core.parallel`:
   failed shards (dead worker, timeout, unpicklable exception) are
@@ -58,7 +55,6 @@ import json
 import os
 import signal
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -230,43 +226,20 @@ class ExecutionPolicy:
 DEFAULT_POLICY = ExecutionPolicy()
 
 
-def as_policy(
-    policy: Optional[ExecutionPolicy] = None,
-    *,
-    workers: Optional[int] = None,
-    block_size: Optional[int] = None,
-    stacklevel: int = 3,
-) -> ExecutionPolicy:
-    """Merge the ``policy=`` kwarg with the deprecated legacy aliases.
+def as_policy(policy: Optional[ExecutionPolicy] = None) -> ExecutionPolicy:
+    """The policy to run under: ``policy`` verbatim, or
+    :data:`DEFAULT_POLICY` when ``None``.
 
-    * ``policy`` given, legacy kwargs absent → the policy, verbatim.
-    * legacy ``workers=``/``block_size=`` given → a one-off policy
-      wrapping them, plus a ``DeprecationWarning`` pointing at the call
-      site (``stacklevel`` hops up).
-    * both given → :class:`~repro.errors.ConfigurationError`; silently
-      preferring one over the other would make the other a no-op.
-    * neither given → :data:`DEFAULT_POLICY`.
+    Anything that is not an :class:`ExecutionPolicy` raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    if policy is not None:
-        if not isinstance(policy, ExecutionPolicy):
-            raise ConfigurationError(
-                f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
-            )
-        if workers is not None or block_size is not None:
-            raise ConfigurationError(
-                "pass either policy= or the legacy workers=/block_size= kwargs, "
-                "not both (the legacy kwargs are deprecated aliases)"
-            )
-        return policy
-    if workers is None and block_size is None:
+    if policy is None:
         return DEFAULT_POLICY
-    warnings.warn(
-        "the workers=/block_size= kwargs are deprecated; pass "
-        "policy=repro.ExecutionPolicy(workers=..., block_size=...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ExecutionPolicy(workers=workers, block_size=block_size)
+    if not isinstance(policy, ExecutionPolicy):
+        raise ConfigurationError(
+            f"policy must be an ExecutionPolicy, got {type(policy).__name__}"
+        )
+    return policy
 
 
 # ----------------------------------------------------------------------
@@ -830,15 +803,22 @@ def _execute_pool(
             kill = False
             failed = []
             try:
-                futures = [
-                    (
-                        item,
-                        executor.submit(
+                futures = []
+                unsubmitted = []
+                for position, item in enumerate(items):
+                    try:
+                        future = executor.submit(
                             _worker_shard, (kind, item[0], item[3], timed)
-                        ),
-                    )
-                    for item in items
-                ]
+                        )
+                    except BrokenProcessPool:
+                        # A worker died while shards were still being
+                        # submitted: the rest go to the next round.
+                        kill = True
+                        unsubmitted = items[position:]
+                        if OBS.enabled:
+                            OBS.add("runtime.retry.crash")
+                        break
+                    futures.append((item, future))
                 for item, future in futures:
                     index, lo, hi, _inner = item
                     try:
@@ -878,6 +858,7 @@ def _execute_pool(
                             OBS.observe("parallel.attach_seconds", attach_seconds)
                         pids[pid] = pids.get(pid, 0) + 1
                     finish(lo, hi, value)
+                failed.extend(unsubmitted)
             finally:
                 _retire_executor(executor, kill=kill)
             if abort is not None:

@@ -160,8 +160,6 @@ def originator_biased_curves(
     beta: float,
     walk_lengths: Sequence[int],
     *,
-    block_size: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional["ExecutionPolicy"] = None,
 ) -> np.ndarray:
     """Batched originator-biased measurement: ``(s, w)`` distances.
@@ -171,13 +169,13 @@ def originator_biased_curves(
     ``sources[i]``.  Unlike the other chains, every source defines its
     own operator (``P'_i = beta * (jump to sources[i]) + (1 - beta) P``),
     so the per-row bias injection happens inside the block step — one
-    SpMM per step still advances all sources at once.  ``workers > 1``
-    shards the sources across the shared-memory process pool
+    SpMM per step still advances all sources at once.
+    ``policy.workers > 1`` shards the sources across the shared-memory process pool
     (:mod:`repro.core.parallel`) with identical results.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
-    policy = as_policy(policy, workers=workers, block_size=block_size)
+    policy = as_policy(policy)
     lengths = _check_walk_lengths(walk_lengths)
     src = np.asarray(
         [check_node_index(s, graph.num_nodes, name="source") for s in np.asarray(sources).ravel()],

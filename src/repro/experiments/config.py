@@ -60,20 +60,6 @@ class ExperimentConfig:
         The ε values at which bound curves are reported (Figures 1-2).
     short_walks / long_walks:
         Figure 3 / Figure 4 walk-length checkpoints (paper values).
-    evolution_block_size:
-        Sources per chunk in the batched Markov-operator evolution
-        (``None`` → sized automatically from the operator layer's memory
-        budget; see :func:`repro.core.operators.resolve_block_size`).
-        Exposed as a knob so scaling studies can trade memory for fewer,
-        larger SpMM calls.
-    workers:
-        Process count for the shared-memory sweep runtime
-        (:mod:`repro.core.parallel`); forwarded by every runner to its
-        multi-source measurements.  ``None``/``1`` stays serial, ``-1``
-        uses every core, and any value is bit-for-bit neutral — parallel
-        sweeps reproduce the serial numbers exactly, so results never
-        depend on this knob.  Set via the ``--workers`` CLI flag.
-        Validated at construction time by :func:`validate_workers`.
     telemetry:
         When true, the process-wide :data:`repro.obs.OBS` registry is
         enabled before the runner executes (via
@@ -83,11 +69,12 @@ class ExperimentConfig:
     policy:
         Optional :class:`~repro.core.runtime.ExecutionPolicy` bundling
         *all* execution knobs (workers, block size, retries, shard
-        timeout, checkpoint directory).  Mutually exclusive with the
-        legacy ``workers``/``evolution_block_size`` fields; runners read
-        the merged view via :attr:`execution_policy` either way.  Set
-        via the ``--checkpoint-dir``/``--max-retries``/``--shard-timeout``
-        CLI flags.
+        timeout, checkpoint directory); runners read it, with
+        ``telemetry`` folded in, via :attr:`execution_policy`.  Its
+        ``workers`` is validated at construction time by
+        :func:`validate_workers`.  Set via the ``--workers``/
+        ``--block-size``/``--checkpoint-dir``/``--max-retries``/
+        ``--shard-timeout`` CLI flags.
     """
 
     mode: str = "fast"
@@ -100,8 +87,6 @@ class ExperimentConfig:
     epsilon_grid: Tuple[float, ...] = (0.25, 0.1, 0.05, 0.01, 1e-3, 1e-4)
     short_walks: Tuple[int, ...] = (1, 5, 10, 20, 40)
     long_walks: Tuple[int, ...] = (80, 100, 200, 300, 400, 500)
-    evolution_block_size: Optional[int] = None
-    workers: Optional[int] = None
     telemetry: bool = False
     policy: Optional[ExecutionPolicy] = None
 
@@ -115,16 +100,10 @@ class ExperimentConfig:
                     "datasets must be a non-empty sequence of registry names"
                 )
             object.__setattr__(self, "datasets", names)
-        validate_workers(self.workers)
         if self.policy is not None:
             if not isinstance(self.policy, ExecutionPolicy):
                 raise ConfigurationError(
                     f"policy must be an ExecutionPolicy, got {type(self.policy).__name__}"
-                )
-            if self.workers is not None or self.evolution_block_size is not None:
-                raise ConfigurationError(
-                    "pass either policy= or the legacy workers=/evolution_block_size= "
-                    "knobs, not both"
                 )
             validate_workers(self.policy.workers)
 
@@ -132,22 +111,16 @@ class ExperimentConfig:
     def execution_policy(self) -> ExecutionPolicy:
         """The :class:`~repro.core.runtime.ExecutionPolicy` runners forward.
 
-        An explicit ``policy=`` wins (with ``telemetry`` folded in);
-        otherwise the legacy ``workers`` / ``evolution_block_size``
-        knobs are packaged into a policy, so every runner goes through
-        one execution surface regardless of how the config was built.
+        The explicit ``policy=`` (default: serial, auto-sized chunks)
+        with ``telemetry`` folded in.
         """
-        if self.policy is not None:
-            if self.policy.telemetry != self.telemetry:
-                from dataclasses import replace
+        if self.policy is None:
+            return ExecutionPolicy(telemetry=self.telemetry)
+        if self.policy.telemetry != self.telemetry:
+            from dataclasses import replace
 
-                return replace(self.policy, telemetry=self.telemetry)
-            return self.policy
-        return ExecutionPolicy(
-            workers=self.workers,
-            block_size=self.evolution_block_size,
-            telemetry=self.telemetry,
-        )
+            return replace(self.policy, telemetry=self.telemetry)
+        return self.policy
 
     @property
     def is_fast(self) -> bool:

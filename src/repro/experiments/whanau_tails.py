@@ -49,7 +49,6 @@ def tail_arc_distributions(
     graph: Graph,
     walk_lengths: "Sequence[int]",
     *,
-    workers: Optional[int] = None,
     policy: "Optional[ExecutionPolicy]" = None,
 ) -> "List[np.ndarray]":
     """Exact pooled tail-edge distributions at several walk lengths.
@@ -60,11 +59,11 @@ def tail_arc_distributions(
     *incrementally* between checkpoints, so the whole sweep costs
     ``max(w) - 1`` operator applications instead of ``sum(w - 1)`` —
     and, because the SpMV prefix is shared, each checkpoint equals the
-    from-scratch evolution bit-for-bit.  ``workers`` is threaded to the
+    from-scratch evolution bit-for-bit.  ``policy`` is threaded to the
     operator's block API for parity with the other sweep entry points
     (a single pooled distribution is one row, so it falls back serial).
     """
-    policy = as_policy(policy, workers=workers)
+    policy = as_policy(policy)
     lengths = [int(w) for w in walk_lengths]
     if not lengths or lengths[0] < 1 or any(
         b <= a for a, b in zip(lengths, lengths[1:])

@@ -416,8 +416,6 @@ class RouteInstances:
         length: int,
         *,
         seed=None,
-        block_size: Optional[int] = None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> np.ndarray:
         """Tail arcs of every node's route in every instance.
@@ -427,10 +425,10 @@ class RouteInstances:
         directed arc.  Returns shape ``(len(nodes), r)`` of slot indices.
 
         ``length`` must be >= 1 (a route's tail is its last traversed
-        edge, so a zero-length route has none).  ``block_size`` bounds
-        the instances materialised at once; ``workers`` fans instance
-        blocks out across the shared-memory fork pool (bit-for-bit equal
-        to the serial path, see module docstring).
+        edge, so a zero-length route has none).  ``policy.block_size``
+        bounds the instances materialised at once; ``policy.workers``
+        fans instance blocks out across the shared-memory fork pool
+        (bit-for-bit equal to the serial path, see module docstring).
         """
         if length < 1:
             raise RouteError("route length must be >= 1")
@@ -438,7 +436,7 @@ class RouteInstances:
             nodes,
             np.asarray([length], dtype=np.int64),
             seed=seed,
-            policy=as_policy(policy, workers=workers, block_size=block_size),
+            policy=policy,
         )
         return np.ascontiguousarray(tails[:, :, 0])
 
@@ -448,8 +446,6 @@ class RouteInstances:
         lengths: np.ndarray,
         *,
         seed=None,
-        block_size: Optional[int] = None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> np.ndarray:
         """Tails of every node's routes at several route lengths at once.
@@ -464,13 +460,13 @@ class RouteInstances:
         (tails at length w and w' come from the *same* route, truncated),
         matching how a deployment would extend its routes.  First hops
         are always drawn in instance order from one stream, so the
-        result is independent of blocking, ``block_size`` and
-        ``workers`` — bit-for-bit.
+        result is independent of blocking and of the policy's
+        ``block_size`` and ``workers`` — bit-for-bit.
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.size == 0 or lengths[0] < 1 or np.any(np.diff(lengths) <= 0):
             raise RouteError("lengths must be strictly increasing and >= 1")
-        policy = as_policy(policy, workers=workers, block_size=block_size)
+        policy = as_policy(policy)
         nodes = np.asarray(nodes, dtype=np.int64)
         rng = as_rng(seed)
         r = self._num_instances

@@ -16,7 +16,7 @@ facebook-sample scale): the verifier's small ``d × (w + 1)`` trajectory
 block fixes a node mask, and every other route is tested against it by
 a stepwise OR-accumulation over the shared ``next_slot`` table — O(2m)
 live state per step, one gather per step, and shardable across the
-fork pool (``workers=``) with bit-identical output.
+fork pool (``policy.workers``) with bit-identical output.
 """
 
 from __future__ import annotations
@@ -123,16 +123,15 @@ class SybilGuard:
         verifier: int,
         suspects: Optional[Sequence[int]] = None,
         *,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> SybilGuardOutcome:
         """Admit ``suspects`` (default: all other nodes) for one verifier.
 
-        ``workers`` shards the per-slot intersection scan across the
+        ``policy.workers`` shards the per-slot intersection scan across the
         shared-memory fork pool; serial and parallel verdicts are
         bit-for-bit identical (boolean ORs, positional reassembly).
         """
-        policy = as_policy(policy, workers=workers)
+        policy = as_policy(policy)
         graph = self._scenario.graph
         if suspects is None:
             suspects = np.setdiff1d(

@@ -286,7 +286,6 @@ class SybilLimit:
         suspects: Optional[Sequence[int]] = None,
         *,
         seed=None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> SybilLimitOutcome:
         """Admit ``suspects`` (default: every other node) against one verifier."""
@@ -295,7 +294,7 @@ class SybilLimit:
             [self._params.route_length],
             suspects=suspects,
             seed=seed,
-            policy=as_policy(policy, workers=workers),
+            policy=policy,
         )
         return outcomes[0]
 
@@ -306,18 +305,17 @@ class SybilLimit:
         suspects: Optional[Sequence[int]] = None,
         *,
         seed=None,
-        workers: Optional[int] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> List[SybilLimitOutcome]:
         """Admission outcomes at several route lengths (Figure 8's sweep).
 
         Routes are advanced incrementally, so the sweep costs one pass to
         ``max(walk_lengths)`` regardless of how many checkpoints it has.
-        ``workers`` fans the route-tail computation (the dominant cost)
+        ``policy.workers`` fans the route-tail computation (the dominant cost)
         out across the shared-memory fork pool; verdicts are bit-for-bit
         identical to the serial sweep at any worker count.
         """
-        policy = as_policy(policy, workers=workers)
+        policy = as_policy(policy)
         graph = self._scenario.graph
         if suspects is None:
             suspects = np.setdiff1d(

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.runtime import ExecutionPolicy, as_policy
+from ..core.runtime import ExecutionPolicy
 from ..errors import ConfigurationError, ScenarioError
 from .scenario import SybilScenario
 
@@ -67,7 +67,6 @@ def sybilrank(
     seeds: Sequence[int],
     *,
     iterations: Optional[int] = None,
-    workers: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> SybilRankResult:
     """Run SybilRank's early-terminated trust propagation.
@@ -79,7 +78,7 @@ def sybilrank(
         ``n`` is split evenly among them.
     iterations:
         Power-iteration count; ``None`` → ``ceil(log2 n)``.
-    workers:
+    policy:
         Routed to the shared-memory sweep runtime
         (:meth:`~repro.core.operators.MarkovOperator.evolve_block`).
         The single aggregated trust vector is one block row, so it runs
@@ -116,7 +115,7 @@ def sybilrank(
     trust = np.zeros(n, dtype=np.float64)
     trust[seeds] = float(n) / seeds.size
     trust = operator.evolve_block(
-        trust[np.newaxis, :], int(iterations), policy=as_policy(policy, workers=workers)
+        trust[np.newaxis, :], int(iterations), policy=policy
     )[0]
     scores = trust / graph.degrees.astype(np.float64)
     return SybilRankResult(scores=scores, iterations=int(iterations), seeds=seeds)

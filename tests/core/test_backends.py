@@ -47,7 +47,6 @@ from repro.core import (
     non_backtracking_curves,
     non_backtracking_hitting_times,
     non_backtracking_slem,
-    numba_available,
     register_backend,
     validate_backend,
 )
@@ -105,11 +104,11 @@ def sweep_hitting(kind: str, backend: str, **policy_kwargs):
 class TestRegistry:
     def test_builtin_backends_registered(self):
         assert DEFAULT_BACKEND == "numpy"
-        assert set(ALL_BACKENDS) >= {"numpy", "tiled", "float32"}
+        assert set(ALL_BACKENDS) >= {"numpy", "float32", "streaming"}
 
     def test_numerics(self):
         assert backend_numeric("numpy") == "float64"
-        assert backend_numeric("tiled") == "float64"
+        assert backend_numeric("streaming") == "float64"
         assert backend_numeric("float32") == "float32"
 
     def test_get_backend_unknown_raises_with_listing(self):
@@ -163,17 +162,6 @@ class TestRegistry:
             assert ExecutionPolicy(backend=name).backend == name
         with pytest.raises(ConfigurationError, match="unknown SpMM backend"):
             ExecutionPolicy(backend="bogus")
-
-    def test_numba_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBA", "0")
-        assert numba_available() is False
-
-    def test_numba_absence_is_gated_not_fatal(self):
-        # The container has no numba; the tiled backend must still
-        # answer (pure-numpy stripe kernel) rather than ImportError.
-        got = sweep_curves("plain", "tiled")
-        want = sweep_curves("plain", "numpy")
-        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +313,8 @@ class TestSerialEquivalence:
 
     @pytest.mark.parametrize("kind", ["weighted", "lazy"])
     def test_thread_pool_identity_other_operators(self, kind):
-        serial = sweep_curves(kind, "tiled")
-        threaded = sweep_curves(kind, "tiled", workers=2, execution="threads")
+        serial = sweep_curves(kind, "streaming")
+        threaded = sweep_curves(kind, "streaming", workers=2, execution="threads")
         assert np.array_equal(serial, threaded)
 
 
@@ -355,7 +343,7 @@ class TestFaultTolerance:
             np.asarray(SOURCES), np.asarray(WALKS),
         )
         base = _operator_fingerprint(*args, backend="numpy")
-        assert _operator_fingerprint(*args, backend="tiled") == base
+        assert _operator_fingerprint(*args, backend="streaming") == base
         assert _operator_fingerprint(*args, backend="float32") != base
 
     def test_float32_checkpoints_not_served_to_each_other(self, tmp_path):

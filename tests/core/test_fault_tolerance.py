@@ -26,9 +26,10 @@ import numpy as np
 import pytest
 
 import repro.core.runtime as runtime
-from repro.core import parallel_backend_available
+from repro.core import TransitionOperator, parallel_backend_available
 from repro.core.runtime import ExecutionPolicy
 from repro.errors import CheckpointCorruption, RuntimeFailure
+from repro.graph import Graph
 from repro.obs import OBS
 from repro.sybil import RouteInstances
 
@@ -110,6 +111,52 @@ class TestCrashRecovery:
             OBS.enabled = was_enabled
         assert counters.get("runtime.retry.crash", 0) >= 1
         assert counters.get("runtime.retry.rounds", 0) >= 1
+
+    def test_pool_breaking_during_submit_is_retried(self, monkeypatch):
+        """A worker dying while the parent is still submitting makes a
+        later ``submit`` raise ``BrokenProcessPool``; the unsubmitted
+        shards must go to the retry round, not escape the sweep."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        n = 40
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        edges += [(i, (i + 6) % n) for i in range(0, n, 3)]
+        op = TransitionOperator(Graph.from_edges(edges, num_nodes=n))
+        sources = np.arange(n)
+        serial = op.variation_curves(sources, WALKS)
+
+        make_executor = runtime._make_executor
+        submits = {"count": 0}
+
+        def breaking_executor(workers):
+            executor = make_executor(workers)
+            submit = executor.submit
+
+            def flaky_submit(*args, **kwargs):
+                submits["count"] += 1
+                if submits["count"] == 2:
+                    raise BrokenProcessPool("worker died during submit")
+                return submit(*args, **kwargs)
+
+            executor.submit = flaky_submit
+            return executor
+
+        monkeypatch.setattr(runtime, "_make_executor", breaking_executor)
+        was_enabled = OBS.enabled
+        OBS.reset()
+        OBS.enable()
+        try:
+            recovered = op.variation_curves(
+                sources, WALKS, policy=ExecutionPolicy(workers=2, block_size=4)
+            )
+            counters = OBS.snapshot()["counters"]
+        finally:
+            OBS.disable()
+            OBS.reset()
+            OBS.enabled = was_enabled
+        assert submits["count"] > 2, "the sweep never reached a retry round"
+        assert np.array_equal(serial, recovered)
+        assert counters.get("runtime.retry.crash", 0) >= 1
 
 
 @needs_pool

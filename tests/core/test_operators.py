@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core import (
     DEFAULT_BLOCK_BYTES,
     DirectedTransitionOperator,
+    ExecutionPolicy,
     MarkovOperator,
     TransitionOperator,
     WeightedTransitionOperator,
@@ -130,7 +131,7 @@ class TestBlockEqualsSequential:
             block_size = sources.size - 1
         elif block_size == "s":
             block_size = sources.size
-        got = op.variation_curves(sources, walks, block_size=block_size)
+        got = op.variation_curves(sources, walks, policy=ExecutionPolicy(block_size=block_size))
         want = np.stack(
             [op.variation_curve(int(s), 7)[walks] for s in sources]
         )
@@ -141,7 +142,9 @@ class TestBlockEqualsSequential:
         op = make_operator("plain")
         sources = [0, 1, 2, 3]
         base = op.hitting_times(sources, 0.1, max_steps=500)
-        got = op.hitting_times(sources, 0.1, max_steps=500, block_size=block_size)
+        got = op.hitting_times(
+            sources, 0.1, max_steps=500, policy=ExecutionPolicy(block_size=block_size)
+        )
         assert np.array_equal(base.times, got.times)
         assert np.array_equal(base.final_distances, got.final_distances)
 
@@ -150,7 +153,7 @@ class TestBlockEqualsSequential:
         op = make_operator("lazy")
         sources = [3, 1, 4, 1, 5]
         for bs in (1, len(sources) - 1, len(sources)):
-            got = op.variation_curves(sources, [2, 5], block_size=bs)
+            got = op.variation_curves(sources, [2, 5], policy=ExecutionPolicy(block_size=bs))
             want = np.stack([op.variation_curve(s, 5)[[2, 5]] for s in sources])
             assert np.array_equal(got, want)
 
@@ -407,5 +410,7 @@ class TestMeasureMixingBlockSize:
         g = _er_graph()
         base = measure_mixing(g, [1, 4, 9], sources=12, seed=8)
         for bs in (1, 5, 12, 64):
-            m = measure_mixing(g, [1, 4, 9], sources=12, seed=8, block_size=bs)
+            m = measure_mixing(
+                g, [1, 4, 9], sources=12, seed=8, policy=ExecutionPolicy(block_size=bs)
+            )
             assert np.array_equal(m.distances, base.distances)

@@ -102,7 +102,7 @@ class TestFallbackRules:
         # result) is identical with or without a workers request.
         op = make_operator("plain")
         serial = op.variation_curves([], [0, 1])
-        pooled = op.variation_curves([], [0, 1], workers=4)
+        pooled = op.variation_curves([], [0, 1], policy=ExecutionPolicy(workers=4))
         assert serial.shape == pooled.shape == (0, 2)
         assert np.array_equal(serial, pooled)
 
@@ -196,7 +196,7 @@ class TestSerialParallelEquivalence:
         sources = np.arange(10) % op.num_states
         walks = [0, 1, 3, 7, 12]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=workers)
+        parallel = op.variation_curves(sources, walks, policy=ExecutionPolicy(workers=workers))
         assert np.array_equal(serial, parallel), f"{kind}: parallel curves drifted"
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -205,7 +205,9 @@ class TestSerialParallelEquivalence:
         op = make_operator(kind)
         sources = np.arange(8) % op.num_states
         serial = op.hitting_times(sources, 0.25, max_steps=40)
-        parallel = op.hitting_times(sources, 0.25, max_steps=40, workers=workers)
+        parallel = op.hitting_times(
+            sources, 0.25, max_steps=40, policy=ExecutionPolicy(workers=workers)
+        )
         assert np.array_equal(serial.times, parallel.times)
         assert np.array_equal(serial.final_distances, parallel.final_distances)
 
@@ -214,7 +216,7 @@ class TestSerialParallelEquivalence:
         op = make_operator(kind)
         block = op.point_mass_block(list(range(min(6, op.num_states))))
         serial = op.evolve_block(block.copy(), 9)
-        parallel = op.evolve_block(block.copy(), 9, workers=2)
+        parallel = op.evolve_block(block.copy(), 9, policy=ExecutionPolicy(workers=2))
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -223,8 +225,10 @@ class TestSerialParallelEquivalence:
         op = make_operator("plain")
         sources = np.arange(11) % op.num_states
         walks = [0, 2, 5]
-        serial = op.variation_curves(sources, walks, block_size=3)
-        parallel = op.variation_curves(sources, walks, block_size=3, workers=workers)
+        serial = op.variation_curves(sources, walks, policy=ExecutionPolicy(block_size=3))
+        parallel = op.variation_curves(
+            sources, walks, policy=ExecutionPolicy(workers=workers, block_size=3)
+        )
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("count", [2, 3, 16, "n"])
@@ -239,7 +243,7 @@ class TestSerialParallelEquivalence:
             sources = np.arange(count) % n
         walks = [0, 1, 4]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=3)
+        parallel = op.variation_curves(sources, walks, policy=ExecutionPolicy(workers=3))
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -248,7 +252,7 @@ class TestSerialParallelEquivalence:
         sources = np.asarray([5, 0, 5, 2, 2, 7, 0], dtype=np.int64)
         walks = [1, 2, 6]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=workers)
+        parallel = op.variation_curves(sources, walks, policy=ExecutionPolicy(workers=workers))
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -258,7 +262,7 @@ class TestSerialParallelEquivalence:
         walks = [0, 1, 3, 7]
         serial = originator_biased_curves(graph, sources, 0.2, walks)
         parallel = originator_biased_curves(
-            graph, sources, 0.2, walks, workers=workers
+            graph, sources, 0.2, walks, policy=ExecutionPolicy(workers=workers)
         )
         assert np.array_equal(serial, parallel)
 
@@ -281,7 +285,7 @@ class TestSerialParallelEquivalence:
         )
         workers = data.draw(st.sampled_from([2, 3, 4]), label="workers")
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=workers)
+        parallel = op.variation_curves(sources, walks, policy=ExecutionPolicy(workers=workers))
         assert np.array_equal(serial, parallel)
 
 
@@ -293,7 +297,9 @@ class TestMeasurementLayer:
     def test_measure_mixing_workers(self):
         graph = _er_graph()
         serial = measure_mixing(graph, [1, 2, 5, 10], sources=40, seed=3)
-        parallel = measure_mixing(graph, [1, 2, 5, 10], sources=40, seed=3, workers=2)
+        parallel = measure_mixing(
+            graph, [1, 2, 5, 10], sources=40, seed=3, policy=ExecutionPolicy(workers=2)
+        )
         assert np.array_equal(serial.sources, parallel.sources)
         assert np.array_equal(serial.distances, parallel.distances)
 
@@ -301,7 +307,7 @@ class TestMeasurementLayer:
         graph = _er_graph()
         serial = estimate_mixing_time(graph, 0.2, sources=30, seed=3, max_steps=100)
         parallel = estimate_mixing_time(
-            graph, 0.2, sources=30, seed=3, max_steps=100, workers=2
+            graph, 0.2, sources=30, seed=3, max_steps=100, policy=ExecutionPolicy(workers=2)
         )
         assert serial.walk_length == parallel.walk_length
         assert np.array_equal(serial.per_source, parallel.per_source)
@@ -316,7 +322,7 @@ class TestMeasurementLayer:
         )
         seeds = [0, 1, 2]
         serial = sybilrank(scenario, seeds)
-        parallel = sybilrank(scenario, seeds, workers=2)
+        parallel = sybilrank(scenario, seeds, policy=ExecutionPolicy(workers=2))
         assert np.array_equal(serial.scores, parallel.scores)
 
     def test_directed_curves_workers(self):
@@ -328,7 +334,7 @@ class TestMeasurementLayer:
         walks = [1, 2, 5]
         serial = directed_variation_curves(graph, sources, walks, damping=0.85)
         parallel = directed_variation_curves(
-            graph, sources, walks, damping=0.85, workers=2
+            graph, sources, walks, damping=0.85, policy=ExecutionPolicy(workers=2)
         )
         assert np.array_equal(serial, parallel)
 
@@ -345,7 +351,7 @@ class TestStress:
         sources = rng.integers(0, op.num_states, size=1000)
         walks = [1, 2, 5, 10, 20]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, workers=4)
+        parallel = op.variation_curves(sources, walks, policy=ExecutionPolicy(workers=4))
         assert np.array_equal(serial, parallel)
 
 

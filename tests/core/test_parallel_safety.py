@@ -143,7 +143,7 @@ class TestAttachFailure:
 @needs_shm_dir
 def test_no_stray_segments_after_parallel_sweep():
     """End-to-end: a real pooled sweep leaves /dev/shm exactly as found."""
-    from repro.core import parallel_backend_available
+    from repro.core import ExecutionPolicy, parallel_backend_available
     from tests.core.test_operators import make_operator
 
     if not parallel_backend_available():
@@ -151,5 +151,5 @@ def test_no_stray_segments_after_parallel_sweep():
     before = _segments()
     op = make_operator("plain")
     sources = np.arange(op.num_states, dtype=np.int64)
-    op.variation_curves(sources, [1, 3], block_size=4, workers=2)
+    op.variation_curves(sources, [1, 3], policy=ExecutionPolicy(workers=2, block_size=4))
     assert _segments() == before

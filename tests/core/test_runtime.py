@@ -1,7 +1,7 @@
 """Unit tests for the fault-tolerant runtime (:mod:`repro.core.runtime`).
 
 Covers the pieces in isolation — :class:`ExecutionPolicy` validation,
-the :func:`as_policy` legacy-kwarg bridge, content-addressed sweep
+the :func:`as_policy` normaliser, content-addressed sweep
 fingerprints, the :class:`CheckpointStore` (roundtrip plus every
 corruption avenue), shard planning, and :func:`run_sharded`'s serial /
 checkpoint bookkeeping.  Pool-backed crash/timeout/resume behaviour
@@ -92,7 +92,7 @@ class TestExecutionPolicy:
 
 
 # ----------------------------------------------------------------------
-# as_policy: the legacy-kwarg bridge
+# as_policy: the None -> DEFAULT_POLICY normaliser
 # ----------------------------------------------------------------------
 class TestAsPolicy:
     def test_policy_passthrough_verbatim(self):
@@ -102,24 +102,6 @@ class TestAsPolicy:
     def test_neither_gives_default_singleton(self):
         assert as_policy() is DEFAULT_POLICY
         assert as_policy(None) is DEFAULT_POLICY
-
-    def test_legacy_kwargs_emit_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="workers=/block_size="):
-            p = as_policy(workers=2, block_size=16)
-        assert p.workers == 2
-        assert p.block_size == 16
-
-    def test_legacy_block_size_alone_warns(self):
-        with pytest.warns(DeprecationWarning):
-            p = as_policy(block_size=8)
-        assert p.block_size == 8
-        assert p.workers is None
-
-    def test_both_raise_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            as_policy(ExecutionPolicy(), workers=2)
-        with pytest.raises(ConfigurationError, match="not both"):
-            as_policy(ExecutionPolicy(), block_size=4)
 
     def test_non_policy_object_rejected(self):
         with pytest.raises(ConfigurationError, match="ExecutionPolicy"):

@@ -51,8 +51,8 @@ class TestParser:
         assert "workers" in capsys.readouterr().err
 
     def test_backend_flag(self):
-        args = cli.build_parser().parse_args(["fig1", "--backend", "tiled"])
-        assert args.backend == "tiled"
+        args = cli.build_parser().parse_args(["fig1", "--backend", "streaming"])
+        assert args.backend == "streaming"
         # Default is None: the policy's own default ("numpy") applies,
         # so omitting the flag never overrides config-provided policies.
         assert cli.build_parser().parse_args(["fig1"]).backend is None

@@ -42,26 +42,12 @@ class TestConfig:
 
 
 class TestConfigPolicy:
-    """The ``policy=`` field and its bridge to the legacy knobs."""
-
-    def test_default_policy_mirrors_legacy_knobs(self):
-        config = ExperimentConfig(mode="fast", workers=3, evolution_block_size=64)
-        policy = config.execution_policy
-        assert policy.workers == 3
-        assert policy.block_size == 64
+    """The ``policy=`` field: the one carrier of execution knobs."""
 
     def test_explicit_policy_used_verbatim(self, tmp_path):
         policy = ExecutionPolicy(workers=2, checkpoint_dir=str(tmp_path))
         config = ExperimentConfig(mode="fast", policy=policy)
         assert config.execution_policy is policy
-
-    def test_policy_plus_legacy_knobs_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            ExperimentConfig(mode="fast", policy=ExecutionPolicy(), workers=2)
-        with pytest.raises(ConfigurationError, match="not both"):
-            ExperimentConfig(
-                mode="fast", policy=ExecutionPolicy(), evolution_block_size=8
-            )
 
     def test_non_policy_object_rejected(self):
         with pytest.raises(ConfigurationError):

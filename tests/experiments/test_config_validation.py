@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import ExecutionPolicy
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import ExperimentConfig, validate_workers
 
@@ -35,12 +36,13 @@ class TestExperimentConfigConstruction:
     @pytest.mark.parametrize("value", [0, -2, 1.5])
     def test_bad_workers_rejected_at_construction(self, value):
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(workers=value)
+            ExperimentConfig(policy=ExecutionPolicy(workers=value))
 
     def test_good_workers_accepted(self):
-        assert ExperimentConfig(workers=-1).workers == -1
-        assert ExperimentConfig(workers=4).workers == 4
-        assert ExperimentConfig().workers is None
+        for workers in (-1, 4):
+            config = ExperimentConfig(policy=ExecutionPolicy(workers=workers))
+            assert config.execution_policy.workers == workers
+        assert ExperimentConfig().execution_policy.workers is None
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):

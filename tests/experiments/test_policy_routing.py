@@ -1,28 +1,18 @@
 """Execution-knob hygiene: runners route through ExecutionPolicy, and the
-deprecated ``workers=``/``block_size=`` aliases warn exactly once per call.
-
-"Exactly once" matters in both directions: zero means the alias silently
-stopped being deprecated (or the warning got swallowed by a nested
-``as_policy`` call converting an already-converted policy); more than
-once means every layer of the sweep stack re-warns and real usage drowns
-in noise.  Only the outermost conversion may speak.
-"""
+policy path emits no DeprecationWarning anywhere in the sweep stack."""
 
 from __future__ import annotations
 
 import warnings
 
-import numpy as np
 import pytest
 
-from repro.core.mixing import estimate_mixing_time, measure_mixing
-from repro.core.walks import TransitionOperator
+from repro.core.mixing import measure_mixing
+from repro.core.runtime import ExecutionPolicy
 from repro.experiments import FAST
 from repro.experiments.ablations import run_sybil_bound_ablation
 from repro.generators import erdos_renyi_gnm
 from repro.graph import largest_connected_component
-from repro.sybil.scenario import no_attack_scenario
-from repro.sybil.sybillimit import SybilLimit, SybilLimitParams
 
 
 @pytest.fixture(scope="module")
@@ -32,53 +22,6 @@ def graph():
 
 def _deprecations(caught):
     return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-
-class TestAliasWarnsExactlyOncePerCall:
-    def test_measure_mixing_legacy_kwargs(self, graph):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            measure_mixing(graph, [1, 2, 4], sources=[0, 1], workers=1, block_size=8)
-        assert len(_deprecations(caught)) == 1
-
-    def test_estimate_mixing_time_legacy_kwargs(self, graph):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            estimate_mixing_time(graph, 0.25, sources=[0, 1], workers=1)
-        assert len(_deprecations(caught)) == 1
-
-    def test_operator_methods_legacy_kwargs(self, graph):
-        operator = TransitionOperator(graph)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            operator.variation_curves([0, 1], [1, 2], block_size=4)
-        assert len(_deprecations(caught)) == 1
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            operator.hitting_times([0, 1], 0.25, workers=1)
-        assert len(_deprecations(caught)) == 1
-
-    def test_admission_sweep_legacy_kwargs(self, graph):
-        protocol = SybilLimit(
-            no_attack_scenario(graph), SybilLimitParams(route_length=4), seed=5
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            protocol.admission_sweep(0, [4], suspects=[1, 2], seed=5, workers=1)
-        assert len(_deprecations(caught)) == 1
-
-    def test_policy_path_emits_no_deprecation(self, graph):
-        from repro.core.runtime import ExecutionPolicy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            measure_mixing(
-                graph,
-                [1, 2, 4],
-                sources=[0, 1],
-                policy=ExecutionPolicy(workers=1, block_size=8),
-            )
-        assert not _deprecations(caught)
 
 
 class TestRunnersAreFullyPolicyRouted:
@@ -97,18 +40,13 @@ class TestRunnersAreFullyPolicyRouted:
         assert len(table.rows) == 1
         assert not _deprecations(caught)
 
-    def test_alias_answers_match_policy_answers(self, graph):
-        from repro.core.runtime import ExecutionPolicy
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = measure_mixing(
-                graph, [1, 2, 4], sources=[0, 1], workers=1, block_size=4
+    def test_policy_path_emits_no_deprecation(self, graph):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            measure_mixing(
+                graph,
+                [1, 2, 4],
+                sources=[0, 1],
+                policy=ExecutionPolicy(workers=1, block_size=8),
             )
-        routed = measure_mixing(
-            graph,
-            [1, 2, 4],
-            sources=[0, 1],
-            policy=ExecutionPolicy(workers=1, block_size=4),
-        )
-        assert np.array_equal(legacy.distances, routed.distances)
+        assert not _deprecations(caught)

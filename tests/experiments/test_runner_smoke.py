@@ -100,20 +100,14 @@ class TinyConfig(ExperimentConfig):
 
 
 def _tiny_config(workers, backend=None):
-    # policy= and legacy workers= are mutually exclusive on the config,
-    # so a backend override carries the worker count on the policy.
-    knobs = (
-        {"workers": workers}
-        if backend is None
-        else {"policy": ExecutionPolicy(workers=workers, backend=backend)}
-    )
+    knobs = {} if backend is None else {"backend": backend}
     return TinyConfig(
         mode="fast",
         seed=123,
         epsilon_grid=(0.25, 0.1),
         short_walks=(1, 2, 4),
         long_walks=(4, 6),
-        **knobs,
+        policy=ExecutionPolicy(workers=workers, **knobs),
     )
 
 
@@ -162,7 +156,7 @@ def test_runner_smoke_serial_vs_parallel(name, tiny_datasets, tmp_path):
     assert on_disk["schema"] == MANIFEST_SCHEMA
     assert on_disk["experiment"] == name
     assert on_disk["seed"] == 123
-    assert on_disk["config"]["workers"] == 1
+    assert on_disk["config"]["policy"]["workers"] == 1
     assert "metrics" in on_disk and "counters" in on_disk["metrics"]
     # In-memory manifest matches what was written (modulo timestamps).
     assert serial_manifest["experiment"] == on_disk["experiment"]

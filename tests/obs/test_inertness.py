@@ -17,6 +17,7 @@ from repro.core import (
     parallel_backend_available,
     transition_spectrum_extremes,
 )
+from repro.core.runtime import ExecutionPolicy
 from tests.core.test_operators import ALL_KINDS, make_operator
 
 needs_pool = pytest.mark.skipif(
@@ -40,7 +41,7 @@ def test_variation_curves_bit_identical(obs, kind):
     def run():
         op = make_operator(kind)
         sources = np.arange(op.num_states, dtype=np.int64)
-        return op.variation_curves(sources, [1, 2, 5, 9], block_size=4)
+        return op.variation_curves(sources, [1, 2, 5, 9], policy=ExecutionPolicy(block_size=4))
 
     off = _with_flag(obs, False, run)
     on = _with_flag(obs, True, run)
@@ -52,7 +53,7 @@ def test_hitting_times_bit_identical(obs, kind):
     def run():
         op = make_operator(kind)
         sources = np.arange(op.num_states, dtype=np.int64)
-        result = op.hitting_times(sources, 0.2, max_steps=40, block_size=4)
+        result = op.hitting_times(sources, 0.2, max_steps=40, policy=ExecutionPolicy(block_size=4))
         return result.times.copy(), result.final_distances.copy()
 
     off_t, off_d = _with_flag(obs, False, run)
@@ -102,7 +103,9 @@ def test_parallel_sweep_bit_identical(obs, kind):
     def run():
         op = make_operator(kind)
         sources = np.arange(op.num_states, dtype=np.int64)
-        return op.variation_curves(sources, [1, 3, 6], block_size=4, workers=2)
+        return op.variation_curves(
+            sources, [1, 3, 6], policy=ExecutionPolicy(workers=2, block_size=4)
+        )
 
     off = _with_flag(obs, False, run)
     on = _with_flag(obs, True, run)
@@ -117,7 +120,9 @@ def test_serial_equals_parallel_under_telemetry(obs):
     def run(workers):
         op = make_operator("plain")
         sources = np.arange(op.num_states, dtype=np.int64)
-        return op.variation_curves(sources, [2, 4], block_size=4, workers=workers)
+        return op.variation_curves(
+            sources, [2, 4], policy=ExecutionPolicy(workers=workers, block_size=4)
+        )
 
     serial = _with_flag(obs, True, lambda: run(1))
     parallel = _with_flag(obs, True, lambda: run(2))
@@ -168,7 +173,7 @@ def test_route_tails_bit_identical(obs, petersen):
     def run():
         ri = RouteInstances(petersen, 6, seed=19)
         nodes = np.arange(petersen.num_nodes, dtype=np.int64)
-        return ri.tails_at_lengths(nodes, [1, 4, 9], seed=2, block_size=2)
+        return ri.tails_at_lengths(nodes, [1, 4, 9], seed=2, policy=ExecutionPolicy(block_size=2))
 
     assert np.array_equal(_with_flag(obs, False, run), _with_flag(obs, True, run))
 
@@ -197,7 +202,7 @@ def test_telemetry_actually_recorded(obs):
     obs.enable()
     op = make_operator("plain")
     sources = np.arange(op.num_states, dtype=np.int64)
-    op.variation_curves(sources, [1, 2], block_size=4)
+    op.variation_curves(sources, [1, 2], policy=ExecutionPolicy(block_size=4))
     snap = obs.snapshot()
     obs.disable()
     obs.reset()
@@ -208,8 +213,6 @@ def test_telemetry_actually_recorded(obs):
 def test_checkpointed_sweep_bit_identical(obs, tmp_path):
     """The runtime's checkpoint write/read cycle is telemetry-inert:
     off and on runs (with separate stores) produce identical curves."""
-    from repro.core.runtime import ExecutionPolicy
-
     def run(ckpt):
         op = make_operator("plain")
         sources = np.arange(op.num_states, dtype=np.int64)
@@ -228,8 +231,6 @@ def test_runtime_checkpoint_counters_recorded(obs, tmp_path):
     """The enabled arm of the checkpoint inertness test must record the
     new ``runtime.checkpoint.*`` counters — and an un-checkpointed run
     must record none of them (vacuity guard both ways)."""
-    from repro.core.runtime import ExecutionPolicy
-
     op = make_operator("plain")
     sources = np.arange(op.num_states, dtype=np.int64)
     policy = ExecutionPolicy(checkpoint_dir=str(tmp_path / "ckpt"))
@@ -256,12 +257,10 @@ def test_runtime_checkpoint_counters_recorded(obs, tmp_path):
     assert not any(name.startswith("runtime.") for name in plain)
 
 
-@pytest.mark.parametrize("backend", ["tiled", "float32"])
+@pytest.mark.parametrize("backend", ["streaming", "float32"])
 def test_backend_sweeps_bit_identical(obs, backend):
     """The SpMM backend seam is telemetry-inert: each backend produces
     the same bits with telemetry off and on."""
-    from repro.core.runtime import ExecutionPolicy
-
     def run():
         op = make_operator("plain")
         sources = np.arange(op.num_states, dtype=np.int64)
@@ -277,7 +276,6 @@ def test_backend_sweeps_bit_identical(obs, backend):
 def test_backend_counters_recorded(obs, er_medium):
     """Vacuity guard: a backend-driven sweep must record the new
     ``core.backend.*`` counters, and the default numpy path none."""
-    from repro.core.runtime import ExecutionPolicy
     from repro.core.walks import TransitionOperator
 
     # A fresh operator: the zoo's lru-cached instance may already hold a
@@ -287,12 +285,12 @@ def test_backend_counters_recorded(obs, er_medium):
 
     obs.reset()
     obs.enable()
-    op.variation_curves(sources, [1, 2], policy=ExecutionPolicy(backend="tiled"))
+    op.variation_curves(sources, [1, 2], policy=ExecutionPolicy(backend="streaming"))
     snap = obs.snapshot()["counters"]
     obs.disable()
     obs.reset()
     assert snap["core.backend.prepares"] >= 1
-    assert snap["core.backend.steps.tiled"] >= 1
+    assert snap["core.backend.steps.streaming"] >= 1
     assert snap["core.backend.rows"] > 0
 
     obs.reset()
@@ -307,8 +305,6 @@ def test_backend_counters_recorded(obs, er_medium):
 def test_thread_execution_bit_identical_and_counted(obs):
     """Threaded fan-out is telemetry-inert, and its enabled arm records
     the ``runtime.thread_*`` counters."""
-    from repro.core.runtime import ExecutionPolicy
-
     def run():
         op = make_operator("plain")
         sources = np.arange(op.num_states, dtype=np.int64)
@@ -441,7 +437,6 @@ def test_attack_telemetry_actually_recorded(obs, bridge_graph):
 def test_streaming_backend_bit_identical(obs, er_medium, tmp_path):
     """The streaming stripe walk is telemetry-inert on both the
     in-memory and the memory-mapped operator."""
-    from repro.core.runtime import ExecutionPolicy
     from repro.core.walks import TransitionOperator
     from repro.graph import open_csr, save_csr
 
@@ -490,7 +485,6 @@ def test_storage_counters_recorded(obs, er_medium, tmp_path):
 
 def test_streaming_counters_recorded(obs, er_medium, tmp_path):
     """The streaming backend's enabled arm must record stripe traffic."""
-    from repro.core.runtime import ExecutionPolicy
     from repro.core.walks import TransitionOperator
     from repro.graph import open_csr, save_csr
 
@@ -646,7 +640,6 @@ def test_warm_solver_bit_identical_and_counted(obs, er_medium):
 
 def test_temporal_service_counters_recorded(obs):
     """The trend-query path and append_delta record service telemetry."""
-    from repro.core import ExecutionPolicy
     from repro.service import OperatorRegistry, QueryEngine, ResultCache
 
     temporal = _toy_temporal()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core import ExecutionPolicy
 from repro.experiments import FAST, ExperimentConfig
 from repro.obs import (
     MANIFEST_SCHEMA,
@@ -96,11 +97,13 @@ class TestWrite:
         written = write_run_manifest(
             path,
             "fig3",
-            config=ExperimentConfig(mode="fast", workers=2, telemetry=True),
+            config=ExperimentConfig(
+                mode="fast", telemetry=True, policy=ExecutionPolicy(workers=2)
+            ),
             datasets=["physics1", "physics2"],
         )
         loaded = validate_run_manifest(json.loads(path.read_text(encoding="utf-8")))
         assert loaded["experiment"] == written["experiment"] == "fig3"
-        assert loaded["config"]["workers"] == 2
+        assert loaded["config"]["policy"]["workers"] == 2
         assert loaded["config"]["telemetry"] is True
         assert loaded["datasets"] == ["physics1", "physics2"]

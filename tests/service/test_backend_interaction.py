@@ -4,7 +4,7 @@ Pinned design choices under test:
 
 * **Float64 backends share cache entries.**  The fingerprint covers
   content, never execution — and every float64 backend is bit-identical
-  to the numpy oracle, so an answer computed under ``tiled`` *is* the
+  to the numpy oracle, so an answer computed under ``streaming`` *is* the
   numpy answer and may be served from the same key.
 * **Float32 keys separately.**  A reduced-precision backend genuinely
   changes the numbers; the engine suffixes the finished key with
@@ -59,13 +59,13 @@ class TestFloat64KeySharing:
         """An answer computed under one float64 backend is a cache hit
         for every other float64 backend (including the default)."""
         batch = measure_mixing(graphs["era"], WALKS, sources=SOURCES).distances
-        with _engine(loader, backend="tiled") as warm:
+        with _engine(loader, backend="streaming") as warm:
             first = warm.variation_curve("era", SOURCES, WALKS)
             assert not first.cache_hit
             assert np.array_equal(np.asarray(first.value), batch)
             shared_cache = warm.cache
             # A numpy-backed engine over the *same cache* hits the
-            # tiled-computed entry: same fingerprint, same bits.
+            # streaming-computed entry: same fingerprint, same bits.
             with QueryEngine(
                 OperatorRegistry(capacity=3, loader=loader),
                 shared_cache,
@@ -111,7 +111,7 @@ class TestFloat32KeyIsolation:
     def test_numeric_tag_none_without_policy(self, loader):
         with _engine(loader) as eng:
             assert eng._numeric_tag() is None
-        with _engine(loader, backend="tiled") as eng:
+        with _engine(loader, backend="streaming") as eng:
             assert eng._numeric_tag() is None
         with _engine(loader, backend="float32") as eng:
             assert eng._numeric_tag() == "float32"

@@ -59,7 +59,9 @@ class TestBlockedEqualsReference:
         ri = RouteInstances(petersen, 5, seed=8)
         nodes = _nodes(petersen)
         baseline = ri._tails_at_lengths_reference(nodes, LENGTHS, seed=4)
-        got = ri.tails_at_lengths(nodes, LENGTHS, seed=4, block_size=block_size)
+        got = ri.tails_at_lengths(
+            nodes, LENGTHS, seed=4, policy=ExecutionPolicy(block_size=block_size)
+        )
         assert np.array_equal(got, baseline)
 
     def test_single_length_checkpoint(self, petersen):
@@ -191,16 +193,18 @@ class TestParallelRoutes:
         ri = RouteInstances(bridge_graph, 9, seed=29)
         nodes = _nodes(bridge_graph)
         serial = ri.tails_at_lengths(nodes, LENGTHS, seed=6)
-        parallel = ri.tails_at_lengths(nodes, LENGTHS, seed=6, workers=workers)
+        parallel = ri.tails_at_lengths(
+            nodes, LENGTHS, seed=6, policy=ExecutionPolicy(workers=workers)
+        )
         assert np.array_equal(serial, parallel)
 
     @needs_pool
     def test_parallel_tails_with_block_size(self, petersen):
         ri = RouteInstances(petersen, 7, seed=31)
         nodes = _nodes(petersen)
-        serial = ri.tails_at_lengths(nodes, LENGTHS, seed=7, block_size=2)
+        serial = ri.tails_at_lengths(nodes, LENGTHS, seed=7, policy=ExecutionPolicy(block_size=2))
         parallel = ri.tails_at_lengths(
-            nodes, LENGTHS, seed=7, block_size=2, workers=2
+            nodes, LENGTHS, seed=7, policy=ExecutionPolicy(workers=2, block_size=2)
         )
         assert np.array_equal(serial, parallel)
 
@@ -229,7 +233,7 @@ class TestParallelProtocols:
         scenario = no_attack_scenario(bridge_graph)
         guard = SybilGuard(scenario, 12, seed=41)
         serial = guard.run(0)
-        parallel = guard.run(0, workers=2)
+        parallel = guard.run(0, policy=ExecutionPolicy(workers=2))
         assert np.array_equal(serial.accepted, parallel.accepted)
         assert np.array_equal(serial.suspects, parallel.suspects)
 
@@ -241,7 +245,7 @@ class TestParallelProtocols:
         )
         walks = [2, 5, 10]
         serial = protocol.admission_sweep(0, walks, seed=9)
-        parallel = protocol.admission_sweep(0, walks, seed=9, workers=2)
+        parallel = protocol.admission_sweep(0, walks, seed=9, policy=ExecutionPolicy(workers=2))
         for a, b in zip(serial, parallel):
             assert a.route_length == b.route_length
             assert np.array_equal(a.accepted, b.accepted)

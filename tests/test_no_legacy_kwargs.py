@@ -1,16 +1,12 @@
-"""The ``ExecutionPolicy`` migration is finished inside the package.
+"""The ``ExecutionPolicy`` migration is finished.
 
-Legacy ``workers=``/``block_size=`` kwargs survive on the public entry
-points as deprecated aliases, but no *internal* caller may use them:
-every runner, operator and service path threads a policy object (or
-``None``) through :func:`repro.core.runtime.as_policy` — the single
-place the ``DeprecationWarning`` is emitted.  These tests run
-representative slices of every layer with ``DeprecationWarning``
-escalated to an error, so an internal legacy call (or a second,
-stray warning site) fails loudly here instead of nagging users.
-
-The removal timeline for the aliases themselves is documented in
-``docs/API.md`` ("Legacy keyword aliases").
+``policy=ExecutionPolicy(...)`` is the only way to set execution knobs:
+the deprecated ``workers=``/``block_size=`` keyword aliases, the
+``ExperimentConfig.workers``/``evolution_block_size`` mirror fields and
+the ``tiled`` SpMM backend are gone, and passing any of them fails
+loudly.  The remaining tests run representative slices of every layer
+with ``DeprecationWarning`` escalated to an error, so no path through
+the package warns.
 """
 
 from __future__ import annotations
@@ -25,14 +21,27 @@ from repro.core import (
     ExecutionPolicy,
     TransitionOperator,
     as_policy,
+    available_backends,
+    directed_variation_curves,
     estimate_mixing_time,
     measure_mixing,
     mixing_trend,
+    originator_biased_curves,
     slem_trend,
 )
 from repro.errors import ConfigurationError
-from repro.graph import EdgeDelta, Graph, TemporalGraph
+from repro.experiments import ExperimentConfig
+from repro.experiments.whanau_tails import tail_arc_distributions
+from repro.graph import DiGraph, EdgeDelta, Graph, TemporalGraph
 from repro.service import OperatorRegistry, QueryEngine, ResultCache, ServiceClient
+from repro.sybil import (
+    RouteInstances,
+    SybilGuard,
+    SybilLimit,
+    SybilLimitParams,
+    no_attack_scenario,
+    sybilrank,
+)
 
 
 def _test_graph() -> Graph:
@@ -108,22 +117,112 @@ class TestInternalPathsAreWarningFree:
         trend_measurements(FAST, names=("temporal_mathoverflow",))
 
 
-class TestLegacySeamStillFires:
-    """The aliases remain functional — and warn — at the public boundary."""
+#: Every removed keyword, per entry point: 23 aliases on 15 public entry
+#: points, plus ``as_policy``'s own three.
+REMOVED_KEYWORDS = [
+    ("measure_mixing", "workers"),
+    ("measure_mixing", "block_size"),
+    ("estimate_mixing_time", "workers"),
+    ("estimate_mixing_time", "block_size"),
+    ("evolve_block", "workers"),
+    ("variation_curve", "workers"),
+    ("variation_curves", "workers"),
+    ("variation_curves", "block_size"),
+    ("hitting_times", "workers"),
+    ("hitting_times", "block_size"),
+    ("directed_variation_curves", "workers"),
+    ("directed_variation_curves", "block_size"),
+    ("originator_biased_curves", "workers"),
+    ("originator_biased_curves", "block_size"),
+    ("RouteInstances.tails", "workers"),
+    ("RouteInstances.tails", "block_size"),
+    ("RouteInstances.tails_at_lengths", "workers"),
+    ("RouteInstances.tails_at_lengths", "block_size"),
+    ("SybilGuard.run", "workers"),
+    ("SybilLimit.run", "workers"),
+    ("SybilLimit.admission_sweep", "workers"),
+    ("sybilrank", "workers"),
+    ("tail_arc_distributions", "workers"),
+    ("as_policy", "workers"),
+    ("as_policy", "block_size"),
+    ("as_policy", "stacklevel"),
+]
 
-    def test_as_policy_warns_once_per_call_site(self):
-        with pytest.warns(DeprecationWarning, match="workers=/block_size="):
-            policy = as_policy(None, workers=2, stacklevel=2)
-        assert policy.workers == 2
 
-    def test_public_entry_point_warns(self):
-        graph = _test_graph()
-        with pytest.warns(DeprecationWarning):
-            measure_mixing(graph, [1], sources=[0], workers=1)
+@pytest.fixture(scope="module")
+def entry_points():
+    """``name -> call(**kwargs)``: each entry point with otherwise valid
+    arguments, so the only thing wrong is the extra keyword."""
+    graph = _test_graph()
+    operator = TransitionOperator(graph)
+    digraph = DiGraph.from_edges([(i, (i + 1) % 6) for i in range(6)] + [(0, 2)])
+    scenario = no_attack_scenario(graph)
+    routes = RouteInstances(graph, 2, seed=1)
+    nodes = np.arange(3, dtype=np.int64)
+    guard = SybilGuard(scenario, 3, seed=1)
+    limit = SybilLimit(scenario, SybilLimitParams(route_length=3), seed=1)
+    return {
+        "measure_mixing": lambda **kw: measure_mixing(graph, [1], sources=[0], **kw),
+        "estimate_mixing_time": lambda **kw: estimate_mixing_time(
+            graph, 0.25, sources=[0], **kw
+        ),
+        "evolve_block": lambda **kw: operator.evolve_block(
+            operator.point_mass_block([0]), 1, **kw
+        ),
+        "variation_curve": lambda **kw: operator.variation_curve(0, 2, **kw),
+        "variation_curves": lambda **kw: operator.variation_curves([0], [1], **kw),
+        "hitting_times": lambda **kw: operator.hitting_times([0], 0.25, **kw),
+        "directed_variation_curves": lambda **kw: directed_variation_curves(
+            digraph, [0], [1], damping=0.85, **kw
+        ),
+        "originator_biased_curves": lambda **kw: originator_biased_curves(
+            graph, [0], 0.2, [1], **kw
+        ),
+        "RouteInstances.tails": lambda **kw: routes.tails(nodes, 2, seed=1, **kw),
+        "RouteInstances.tails_at_lengths": lambda **kw: routes.tails_at_lengths(
+            nodes, [1, 2], seed=1, **kw
+        ),
+        "SybilGuard.run": lambda **kw: guard.run(0, [1, 2], **kw),
+        "SybilLimit.run": lambda **kw: limit.run(0, [1, 2], seed=1, **kw),
+        "SybilLimit.admission_sweep": lambda **kw: limit.admission_sweep(
+            0, [3], [1, 2], seed=1, **kw
+        ),
+        "sybilrank": lambda **kw: sybilrank(scenario, [0], **kw),
+        "tail_arc_distributions": lambda **kw: tail_arc_distributions(graph, [1], **kw),
+        "as_policy": lambda **kw: as_policy(None, **kw),
+    }
 
-    def test_policy_and_legacy_kwargs_conflict(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            as_policy(DEFAULT_POLICY, workers=2)
 
-    def test_no_kwargs_returns_default_singleton(self):
+class TestAliasesAreGone:
+    """The deprecated aliases, the config mirror fields and the ``tiled``
+    backend are removed, not silently ignored."""
+
+    @pytest.mark.parametrize(
+        "name,keyword", REMOVED_KEYWORDS, ids=[f"{n}-{k}" for n, k in REMOVED_KEYWORDS]
+    )
+    def test_former_alias_raises_type_error(self, entry_points, name, keyword):
+        call = entry_points[name]
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: 2})
+        call()  # the same call without the keyword is valid
+
+    @pytest.mark.parametrize("field", ["workers", "evolution_block_size"])
+    def test_experiment_config_mirror_fields_removed(self, field):
+        with pytest.raises(TypeError, match=field):
+            ExperimentConfig(**{field: 2})
+
+    def test_tiled_backend_unknown(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            ExecutionPolicy(backend="tiled")
+        message = str(excinfo.value)
+        assert "unknown SpMM backend 'tiled'" in message
+        for name in available_backends():
+            assert name in message
+        assert "tiled" not in available_backends()
+
+    def test_as_policy_normalises_none_and_checks_type(self):
         assert as_policy(None) is DEFAULT_POLICY
+        policy = ExecutionPolicy(workers=2)
+        assert as_policy(policy) is policy
+        with pytest.raises(ConfigurationError, match="ExecutionPolicy"):
+            as_policy({"workers": 2})
