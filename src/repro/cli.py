@@ -381,8 +381,8 @@ def _serve(args) -> int:
 
     Binds, prints the served address (machine-parseable first line, for
     smoke scripts binding port 0), and blocks until SIGINT/SIGTERM.
-    Warm shared-memory segments are unlinked on every exit path: normal
-    shutdown closes the engine, and
+    A parallel sweep's shared-memory segment is unlinked on every exit
+    path: the sweep closes it when it ends, and
     :func:`~repro.core.parallel.install_signal_cleanup` covers fatal
     signals landing mid-request.
     """

@@ -24,7 +24,9 @@ Design
   :mod:`multiprocessing.shared_memory` segment.  Workers attach
   ``numpy`` views straight onto it (no pickling of the matrix, no
   per-worker copy), rebuild the same kind of state around them, and call
-  the same shard function the serial path calls.  Under
+  the same shard function the serial path calls.  Each sweep publishes
+  its own segment and unlinks it when the sweep ends, service sweeps
+  included: nothing stays published between calls.  Under
   ``execution="threads"`` publication is skipped: shards run on the
   in-process state.
 * **Same kernel, same numbers.**  Worker operators either inherit the
@@ -56,7 +58,7 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -79,11 +81,9 @@ __all__ = [
     "maybe_parallel_route_tails",
     "maybe_parallel_variation_curves",
     "parallel_backend_available",
-    "pin_published_operator",
     "publish_operator",
     "publish_route_state",
     "resolve_workers",
-    "unpin_published_operator",
 ]
 
 #: Shards per worker: oversharding lets the pool rebalance uneven
@@ -274,8 +274,8 @@ class SharedOperatorHandle:
 # POSIX shared memory is kernel-persistent: a segment whose owner dies
 # between publish and close survives in /dev/shm until reboot.  The
 # ``with publish_operator(...)`` discipline covers exceptions, but not
-# SIGTERM/SIGINT landing mid-sweep, and a long-lived *service* holding
-# warm segments for minutes makes that window wide.  Every published
+# SIGTERM/SIGINT landing mid-sweep, and a long-lived *service* running
+# parallel sweeps for hours makes that window recur.  Every published
 # segment is therefore tracked here, keyed by name and stamped with the
 # publishing PID, and (a) an atexit hook unlinks leftovers on normal
 # interpreter shutdown, (b) :func:`install_signal_cleanup` extends that
@@ -371,93 +371,6 @@ def install_signal_cleanup(signums: Tuple[int, ...] = (signal.SIGTERM,)) -> None
             continue
         _SIGNAL_PREVIOUS[signum] = current
         signal.signal(signum, _signal_cleanup_handler)
-
-
-# ----------------------------------------------------------------------
-# Pinned operators: the registry-aware warm path
-# ----------------------------------------------------------------------
-# A batch sweep publishes its operator, fans out, and unlinks — correct
-# for one-shot runs, wasteful for a service answering many requests
-# against the same graph: every request would re-pack the CSR arrays
-# into a fresh segment.  The service's OperatorRegistry instead *pins*
-# the publication: the segment stays live across requests and
-# operator sweeps check the pin table before publishing.
-# Pins are keyed by the identity of the operator's CSR matrix (the
-# object the registry keeps alive for exactly as long as the pin, so id
-# reuse cannot alias) and record the published reference vector; a sweep
-# reuses the pin only when its reference *is* that vector — true for
-# default-reference sweeps because operators memoise ``stationary()``.
-
-_PINS_LOCK = threading.Lock()
-#: id(csr matrix) -> (matrix strong ref, reference, handle)
-_PINNED: Dict[int, Tuple[object, Optional[np.ndarray], SharedOperatorHandle]] = {}
-
-
-def pin_published_operator(operator, reference=None) -> Optional[SharedOperatorHandle]:
-    """Publish ``operator`` once and keep the segment warm until unpinned.
-
-    ``reference`` defaults to the operator's stationary distribution —
-    the vector every default sweep passes.  Returns the owning handle,
-    or ``None`` when the operator is not publishable (unknown type) or
-    the parallel backend is unavailable; callers treat ``None`` as
-    "serial-only environment" and proceed (sweeps just skip the warm
-    path).  Pinning the same operator twice returns the existing handle.
-    """
-    if not parallel_backend_available():
-        return None
-    described = describe_operator(operator)
-    if described is None:
-        return None
-    kind, matrix, extras = described
-    if reference is None:
-        reference = operator.stationary()
-    with _PINS_LOCK:
-        pinned = _PINNED.get(id(matrix))
-        if pinned is not None:
-            return pinned[2]
-        handle = publish_operator(kind, matrix, reference, **extras)
-        _PINNED[id(matrix)] = (matrix, reference, handle)
-    if OBS.enabled:
-        OBS.add("parallel.pins")
-    return handle
-
-
-def unpin_published_operator(operator) -> bool:
-    """Drop the pin for ``operator`` and unlink its segment.
-
-    Returns whether a pin existed.  Safe to call for never-pinned
-    operators (the registry calls it unconditionally on eviction).
-    """
-    described = describe_operator(operator)
-    if described is None:
-        return False
-    _kind, matrix, _extras = described
-    with _PINS_LOCK:
-        pinned = _PINNED.pop(id(matrix), None)
-    if pinned is None:
-        return False
-    pinned[2].close()
-    if OBS.enabled:
-        OBS.add("parallel.unpins")
-    return True
-
-
-@contextmanager
-def _leased_publication(kind, matrix, extras, reference):
-    """A pinned segment if one matches, else a fresh one for this sweep.
-
-    Only a segment this sweep published is closed (unlinked) on exit —
-    pinned segments outlive the sweep by design.
-    """
-    with _PINS_LOCK:
-        pinned = _PINNED.get(id(matrix))
-    if pinned is not None and pinned[1] is reference:
-        if OBS.enabled:
-            OBS.add("parallel.pinned_publish_hits")
-        yield pinned[2]
-        return
-    with publish_operator(kind, matrix, reference, **extras) as handle:
-        yield handle
 
 
 def _copy_fields(
@@ -843,8 +756,9 @@ def _operator_fingerprint(
 def _operator_sweep(kind, operator, rows, reference, policy, run, args, fingerprint=None):
     """:func:`_fan_out` over ``rows`` with ``state = (operator, reference)``.
 
-    Shard ``[lo, hi)`` runs ``run(state, rows[lo:hi], *args)``.  The
-    operator is published through the pin table, and
+    Shard ``[lo, hi)`` runs ``run(state, rows[lo:hi], *args)``.  Every
+    call publishes the operator afresh through :func:`publish_operator`
+    (unlinked when the sweep ends), and
     ``fingerprint(kind, matrix, extras)`` receives
     :func:`describe_operator`'s classification.  Returns ``None`` when
     the operator's step cannot be rebuilt in a worker.
@@ -860,7 +774,7 @@ def _operator_sweep(kind, operator, rows, reference, policy, run, args, fingerpr
             run=run,
             args=lambda lo, hi: (rows[lo:hi], *args),
             state=(operator, reference),
-            publish=lambda: _leased_publication(op_kind, matrix, extras, reference),
+            publish=lambda: publish_operator(op_kind, matrix, reference, **extras),
             fingerprint=(
                 None if fingerprint is None else lambda: fingerprint(op_kind, matrix, extras)
             ),

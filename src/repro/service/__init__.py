@@ -10,9 +10,10 @@ publication, :class:`~repro.core.runtime.ExecutionPolicy`,
 content-addressed fingerprints) into serving infrastructure:
 
 * :class:`~repro.service.registry.OperatorRegistry` — constructs
-  operators once and keeps them (and their published shared-memory
-  segments) **warm** across requests, with ref-counted leases and LRU
-  eviction that unlinks segments explicitly.
+  operators once and keeps them **warm** across requests, with
+  ref-counted leases and LRU eviction.  It holds no shared memory: a
+  ``workers > 1`` sweep publishes its operator for that sweep only,
+  exactly as a batch sweep does.
 * :class:`~repro.service.engine.QueryEngine` — the request vocabulary
   (mixing time from node v at ε, variation curves for sources S, current
   SLEM, admission decision for suspect s at w) with **request
@@ -25,13 +26,13 @@ content-addressed fingerprints) into serving infrastructure:
 * :class:`~repro.service.client.ServiceClient` /
   :class:`~repro.service.http.ServiceServer` — the in-process API and
   the stdlib-only HTTP front-end behind ``repro-mixing serve``.  Both
-  speak two wire schemas: the historical v1 (no ``schema`` field,
-  byte-compatible replies) and :data:`~repro.service.client.SCHEMA_V2`,
-  which adds ``graph_version`` to every reply, the temporal trend
-  queries (:class:`~repro.service.engine.MixingTrendQuery`,
+  speak one wire contract, :data:`~repro.service.client.SCHEMA_V2`
+  (the payload's ``schema`` key is optional): the point queries, the
+  temporal trend queries
+  (:class:`~repro.service.engine.MixingTrendQuery`,
   :class:`~repro.service.engine.SlemTrendQuery`) and the
   ``append_delta`` mutation verb over :mod:`repro.graph.temporal`
-  datasets.
+  datasets, with ``schema`` and ``graph_version`` on every reply.
 * :mod:`repro.service.batch` — adapters proving the batch runners are
   expressible as service queries (and pinned so by tests), so the two
   paths cannot drift.

@@ -5,21 +5,15 @@ Both clients expose the same verbs as the engine; the wire format
 so the HTTP server, the HTTP client and the in-process client share one
 codec and cannot disagree about field names or types.
 
-**Schema versioning.**  The wire speaks two schema versions:
-
-* *v1* (historical): no ``schema`` field.  Exactly the four original
-  query types, answered with exactly the original six reply keys —
-  byte-compatible with every pre-temporal client, pinned by the
-  compatibility tests.  v1 knows nothing about temporal graphs; its
-  answers are served against the base snapshots of the dataset registry.
-* *v2* (:data:`SCHEMA_V2`): payloads carry ``"schema":
-  "repro.service.query/v2"``; replies echo ``schema`` and add
-  ``graph_version`` — the content version of the graph state answered
-  against.  v2 adds the trend queries (``mixing_trend``, ``slem_trend``),
-  the ``append_delta`` mutation verb, and an optional request-side
-  ``graph_version`` pin: when present and the live state differs, the
-  server refuses with 400 instead of answering against a state the
-  client did not expect.
+**One wire contract** (:data:`SCHEMA_V2`).  A payload may carry
+``"schema": "repro.service.query/v2"``; without a ``schema`` key it
+means the same.  Any other schema value is refused.  Every query type
+(the four point queries, the trend queries ``mixing_trend`` and
+``slem_trend``) and the ``append_delta`` mutation verb are accepted, and
+every reply carries ``schema`` and ``graph_version`` — the content
+version of the graph state answered against.  An optional request-side
+``graph_version`` pin makes the server refuse with 400 instead of
+answering against a state the client did not expect.
 
 :func:`answer_payload` is the single seam both front-ends route through
 — :meth:`ServiceClient.query` and ``POST /query`` cannot disagree.
@@ -47,6 +41,7 @@ from .engine import (
     SlemQuery,
     SlemTrendQuery,
     VariationCurveQuery,
+    _coerce,
 )
 
 __all__ = [
@@ -59,8 +54,7 @@ __all__ = [
     "encode_result",
 ]
 
-#: Wire schema identifier carried by v2 payloads and replies.  v1
-#: payloads are recognised by the *absence* of a ``schema`` field.
+#: The wire schema: echoed by every reply, optional on payloads.
 SCHEMA_V2 = "repro.service.query/v2"
 
 _QUERY_TYPES = {
@@ -68,39 +62,28 @@ _QUERY_TYPES = {
     "variation_curve": VariationCurveQuery,
     "slem": SlemQuery,
     "admission": AdmissionQuery,
-}
-
-#: Query types only the v2 schema can name.
-_V2_QUERY_TYPES = {
     "mixing_trend": MixingTrendQuery,
     "slem_trend": SlemTrendQuery,
 }
 
-#: Fields that must be tuples when they arrive as JSON lists.
-_TUPLE_FIELDS = ("sources", "walk_lengths", "suspects", "times")
-
-
-def build_query(payload: dict, *, schema: Optional[str] = None):
+def build_query(payload: dict):
     """Wire payload -> query dataclass (the server's request parser).
 
-    ``schema=None`` parses the historical v1 vocabulary (exactly the
-    four original query types); ``schema=SCHEMA_V2`` additionally
-    accepts the trend queries.  The ``schema`` key itself is stripped by
-    :func:`answer_payload` before this runs.
+    The ``schema`` and ``graph_version`` keys are stripped by
+    :func:`answer_payload` before this runs.  Malformed fields raise
+    :class:`~repro.errors.ConfigurationError` (a 400 over HTTP).
     """
     if not isinstance(payload, dict):
         raise ConfigurationError("query payload must be a JSON object")
-    types = _QUERY_TYPES if schema is None else {**_QUERY_TYPES, **_V2_QUERY_TYPES}
     kind = payload.get("type")
-    cls = types.get(kind)
+    cls = _QUERY_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigurationError(
-            f"unknown query type {kind!r}; expected one of {sorted(types)}"
+            f"unknown query type {kind!r}; expected one of {sorted(_QUERY_TYPES)}"
         )
+    if not isinstance(payload.get("dataset"), str):
+        raise ConfigurationError(f"{kind} query needs a string 'dataset'")
     kwargs = {k: v for k, v in payload.items() if k != "type"}
-    for name in _TUPLE_FIELDS:
-        if name in kwargs and isinstance(kwargs[name], (list, tuple)):
-            kwargs[name] = tuple(kwargs[name])
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -121,25 +104,18 @@ def _encode_value(value: Any) -> Any:
     return value
 
 
-def encode_result(result: QueryResult, *, schema: Optional[str] = None) -> dict:
-    """Query result -> JSON-able wire dict (floats keep full precision).
-
-    The default emits the historical v1 reply — exactly six keys, byte
-    compatible with pre-temporal clients.  ``schema=SCHEMA_V2`` adds the
-    ``schema`` and ``graph_version`` keys of the versioned wire.
-    """
-    reply = {
+def encode_result(result: QueryResult) -> dict:
+    """Query result -> JSON-able wire dict (floats keep full precision)."""
+    return {
         "value": _encode_value(result.value),
         "fingerprint": result.fingerprint,
         "cache_hit": bool(result.cache_hit),
         "coalesced": bool(result.coalesced),
         "batch_size": int(result.batch_size),
         "latency_s": float(result.latency_s),
+        "schema": SCHEMA_V2,
+        "graph_version": result.graph_version,
     }
-    if schema is not None:
-        reply["schema"] = schema
-        reply["graph_version"] = result.graph_version
-    return reply
 
 
 def decode_result(payload: dict) -> QueryResult:
@@ -151,15 +127,24 @@ def decode_result(payload: dict) -> QueryResult:
         coalesced=bool(payload["coalesced"]),
         batch_size=int(payload["batch_size"]),
         latency_s=float(payload["latency_s"]),
-        graph_version=payload.get("graph_version"),
+        graph_version=payload["graph_version"],
     )
+
+
+def _edge_pairs(name: str, value) -> list:
+    try:
+        return [(int(u), int(v)) for u, v in value]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"{name} must be a list of [u, v] node pairs, got {value!r}"
+        ) from exc
 
 
 _APPEND_DELTA_FIELDS = frozenset({"type", "dataset", "timestamp", "insert", "delete"})
 
 
 def _append_delta_reply(engine: QueryEngine, body: dict, pin: Optional[str]) -> dict:
-    """Handle the v2-only ``append_delta`` mutation verb."""
+    """Handle the ``append_delta`` mutation verb."""
     unknown = set(body) - _APPEND_DELTA_FIELDS
     if unknown:
         # A mutation with a misspelled field must never be applied on a
@@ -174,21 +159,19 @@ def _append_delta_reply(engine: QueryEngine, body: dict, pin: Optional[str]) -> 
     for field in ("dataset", "timestamp"):
         if field not in body:
             raise ConfigurationError(f"append_delta requires {field!r}")
-    insert = body.get("insert", ())
-    delete = body.get("delete", ())
+    dataset = str(body["dataset"])
+    timestamp = _coerce(int, "timestamp", body["timestamp"])
+    insert = _edge_pairs("insert", body.get("insert", ()))
+    delete = _edge_pairs("delete", body.get("delete", ()))
     version = engine.append_delta(
-        str(body["dataset"]),
-        body["timestamp"],
-        insert=insert,
-        delete=delete,
-        expect_version=pin,
+        dataset, timestamp, insert=insert, delete=delete, expect_version=pin
     )
     return {
         "schema": SCHEMA_V2,
         "graph_version": version,
         "value": {
-            "dataset": str(body["dataset"]),
-            "timestamp": int(body["timestamp"]),
+            "dataset": dataset,
+            "timestamp": timestamp,
             "num_insert": len(insert),
             "num_delete": len(delete),
         },
@@ -196,24 +179,21 @@ def _append_delta_reply(engine: QueryEngine, body: dict, pin: Optional[str]) -> 
 
 
 def answer_payload(engine: QueryEngine, payload: dict) -> dict:
-    """Answer one wire payload at its declared schema version.
+    """Answer one wire payload.
 
     The single codec seam shared by :meth:`ServiceClient.query` and the
     HTTP handler's ``POST /query`` — the two front-ends cannot drift.
-    Payloads without a ``schema`` key get the v1 contract (historical
-    vocabulary, historical reply keys); ``schema: repro.service.query/v2``
-    unlocks trend queries, ``append_delta`` and the ``graph_version``
-    request pin.  Any other schema value is refused.
+    A missing ``schema`` key means :data:`SCHEMA_V2`; any other schema
+    value is refused.  An optional ``graph_version`` pins the graph
+    state the answer (or, for ``append_delta``, the mutation) must see.
     """
     if not isinstance(payload, dict):
         raise ConfigurationError("query payload must be a JSON object")
-    schema = payload.get("schema")
-    if schema is None:
-        return encode_result(engine.submit(build_query(payload)))
+    schema = payload.get("schema", SCHEMA_V2)
     if schema != SCHEMA_V2:
         raise ConfigurationError(
-            f"unknown wire schema {schema!r}; this server speaks v1 "
-            f"(no schema field) and {SCHEMA_V2!r}"
+            f"unknown wire schema {schema!r}; this server speaks {SCHEMA_V2!r} "
+            "(the schema key may be omitted)"
         )
     pin = payload.get("graph_version")
     if pin is not None and not isinstance(pin, str):
@@ -221,13 +201,13 @@ def answer_payload(engine: QueryEngine, payload: dict) -> dict:
     body = {k: v for k, v in payload.items() if k not in ("schema", "graph_version")}
     if body.get("type") == "append_delta":
         return _append_delta_reply(engine, body, pin)
-    result = engine.submit(build_query(body, schema=SCHEMA_V2))
+    result = engine.submit(build_query(body))
     if pin is not None and result.graph_version != pin:
         raise ConfigurationError(
             f"graph_version mismatch: request pinned {pin}, live state is "
             f"{result.graph_version}"
         )
-    return encode_result(result, schema=SCHEMA_V2)
+    return encode_result(result)
 
 
 class ServiceClient:
@@ -267,7 +247,7 @@ class ServiceClient:
     def query(self, payload: dict) -> dict:
         """Answer one wire-format payload, returning the wire-format reply.
 
-        Routes through :func:`answer_payload`, so schema negotiation is
+        Routes through :func:`answer_payload`, so the contract is
         identical to the HTTP endpoint's.
         """
         return answer_payload(self.engine, payload)
@@ -321,7 +301,7 @@ class HTTPServiceClient:
         """POST one wire-format query; returns the wire-format reply."""
         return self._request("POST", "/query", payload)
 
-    # -- the four verbs --------------------------------------------------
+    # -- the verbs: one payload shape, no schema key ----------------------
     def mixing_time(self, dataset, source, epsilon, **kwargs) -> QueryResult:
         return decode_result(
             self.query(
@@ -364,12 +344,10 @@ class HTTPServiceClient:
             )
         )
 
-    # -- v2-only verbs ---------------------------------------------------
     def mixing_trend(self, dataset, walk_lengths, **kwargs) -> QueryResult:
         return decode_result(
             self.query(
                 {
-                    "schema": SCHEMA_V2,
                     "type": "mixing_trend",
                     "dataset": dataset,
                     "walk_lengths": [int(w) for w in walk_lengths],
@@ -380,16 +358,13 @@ class HTTPServiceClient:
 
     def slem_trend(self, dataset, **kwargs) -> QueryResult:
         return decode_result(
-            self.query(
-                {"schema": SCHEMA_V2, "type": "slem_trend", "dataset": dataset, **kwargs}
-            )
+            self.query({"type": "slem_trend", "dataset": dataset, **kwargs})
         )
 
     def append_delta(self, dataset, timestamp, insert=(), delete=(), **kwargs) -> str:
         """POST one edge delta; returns the dataset's new graph version."""
         reply = self.query(
             {
-                "schema": SCHEMA_V2,
                 "type": "append_delta",
                 "dataset": dataset,
                 "timestamp": int(timestamp),

@@ -56,7 +56,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -98,35 +98,73 @@ def _warm_nonbacktracking(graph):
     return operator
 
 
-def _as_source_tuple(sources: Union[int, Sequence[int]]) -> Tuple[int, ...]:
-    if isinstance(sources, (int, np.integer)):
-        return (int(sources),)
-    out = tuple(int(s) for s in sources)
+def _coerce(convert, name: str, value):
+    """``convert(value)``, or a :class:`ConfigurationError` naming the field.
+
+    Every client-supplied field goes through here, so a malformed value
+    is a client error (HTTP 400), never an opaque internal one.
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"{name} must be {convert.__name__}, got {value!r}"
+        ) from exc
+
+
+def _as_int_tuple(name: str, values) -> Tuple[int, ...]:
+    """A non-empty tuple of ints (a bare int is a one-element tuple)."""
+    if isinstance(values, (int, np.integer)):
+        return (int(values),)
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ConfigurationError(f"{name} must be a list of integers, got {values!r}")
+    out = tuple(_coerce(int, name, v) for v in values)
     if not out:
-        raise ConfigurationError("sources must be non-empty")
+        raise ConfigurationError(f"{name} must be non-empty")
     return out
 
 
-def _check_sources(query, num_states: int) -> None:
-    """Reject point-query sources outside the leased graph's nodes.
+def _as_walk_lengths(walk_lengths) -> Tuple[int, ...]:
+    """The sweep kernels' rule: non-empty, nonnegative, strictly increasing."""
+    walks = _as_int_tuple("walk_lengths", walk_lengths)
+    if walks[0] < 0 or any(b <= a for a, b in zip(walks, walks[1:])):
+        raise ConfigurationError(
+            f"walk_lengths must be strictly increasing and nonnegative, got {list(walks)}"
+        )
+    return walks
 
-    Checked before the cache and before coalescing, so one bad source is
+
+def _check_sources(query, num_states: int) -> None:
+    """Reject node ids outside the leased graph.
+
+    Point-query sources, and an admission query's verifier and suspects,
+    are checked before the cache and before coalescing, so one bad id is
     a client error for its own request and never fails a merged sweep.
+    Admission suspects may also name the planted sybil region, which
+    exists when the query carries attack edges (ids ``n .. n +
+    num_sybil - 1``).
     """
     if getattr(query, "mode", "point_mass") == "uniform_start":
         return
     if query.query_type == "mixing_time":
-        sources: Tuple[int, ...] = (query.source,)
+        checks = [("source", (query.source,), num_states)]
     elif query.query_type == "variation_curve":
-        sources = query.sources
+        checks = [("source", query.sources, num_states)]
+    elif query.query_type == "admission":
+        planted = query.attack_strategy is not None and query.num_attack_edges > 0
+        checks = [
+            ("verifier", (query.verifier,), num_states),
+            ("suspect", query.suspects, num_states + (query.num_sybil if planted else 0)),
+        ]
     else:
         return
-    for source in sources:
-        if not 0 <= source < num_states:
-            raise ConfigurationError(
-                f"source {source} out of range for dataset {query.dataset!r} "
-                f"with {num_states} nodes"
-            )
+    for name, ids, limit in checks:
+        for node in ids:
+            if not 0 <= node < limit:
+                raise ConfigurationError(
+                    f"{name} {node} out of range for dataset {query.dataset!r} "
+                    f"with {limit} nodes"
+                )
 
 
 def _check_query_mode(mode: str, laziness: float) -> None:
@@ -164,13 +202,17 @@ class MixingTimeQuery:
     query_type = "mixing_time"
 
     def __post_init__(self):
-        object.__setattr__(self, "source", int(self.source))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "laziness", float(self.laziness))
-        object.__setattr__(self, "max_steps", int(self.max_steps))
+        object.__setattr__(self, "source", _coerce(int, "source", self.source))
+        object.__setattr__(self, "epsilon", _coerce(float, "epsilon", self.epsilon))
+        object.__setattr__(self, "laziness", _coerce(float, "laziness", self.laziness))
+        object.__setattr__(self, "max_steps", _coerce(int, "max_steps", self.max_steps))
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError(
                 f"epsilon must be in (0, 1), got {self.epsilon}"
+            )
+        if self.max_steps < 0:
+            raise ConfigurationError(
+                f"max_steps must be nonnegative, got {self.max_steps}"
             )
         _check_query_mode(self.mode, self.laziness)
         if self.mode == "uniform_start":
@@ -228,12 +270,9 @@ class VariationCurveQuery:
     query_type = "variation_curve"
 
     def __post_init__(self):
-        object.__setattr__(self, "sources", _as_source_tuple(self.sources))
-        walks = tuple(int(w) for w in self.walk_lengths)
-        if not walks:
-            raise ConfigurationError("walk_lengths must be non-empty")
-        object.__setattr__(self, "walk_lengths", walks)
-        object.__setattr__(self, "laziness", float(self.laziness))
+        object.__setattr__(self, "sources", _as_int_tuple("sources", self.sources))
+        object.__setattr__(self, "walk_lengths", _as_walk_lengths(self.walk_lengths))
+        object.__setattr__(self, "laziness", _coerce(float, "laziness", self.laziness))
         _check_query_mode(self.mode, self.laziness)
         if self.mode == "uniform_start":
             object.__setattr__(self, "sources", (-1,))
@@ -277,7 +316,7 @@ class SlemQuery:
     query_type = "slem"
 
     def __post_init__(self):
-        object.__setattr__(self, "laziness", float(self.laziness))
+        object.__setattr__(self, "laziness", _coerce(float, "laziness", self.laziness))
 
     @property
     def operator_kind(self) -> str:
@@ -326,15 +365,14 @@ class AdmissionQuery:
     query_type = "admission"
 
     def __post_init__(self):
-        object.__setattr__(self, "suspects", _as_source_tuple(self.suspects))
-        object.__setattr__(self, "route_length", int(self.route_length))
-        object.__setattr__(self, "verifier", int(self.verifier))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "suspects", _as_int_tuple("suspects", self.suspects))
+        for name in ("route_length", "verifier", "seed", "num_sybil",
+                     "num_attack_edges", "attack_seed"):
+            object.__setattr__(self, name, _coerce(int, name, getattr(self, name)))
         if self.num_instances is not None:
-            object.__setattr__(self, "num_instances", int(self.num_instances))
-        object.__setattr__(self, "num_sybil", int(self.num_sybil))
-        object.__setattr__(self, "num_attack_edges", int(self.num_attack_edges))
-        object.__setattr__(self, "attack_seed", int(self.attack_seed))
+            object.__setattr__(
+                self, "num_instances", _coerce(int, "num_instances", self.num_instances)
+            )
         if self.route_length < 1:
             raise ConfigurationError(
                 f"route_length must be >= 1, got {self.route_length}"
@@ -398,9 +436,7 @@ class AdmissionQuery:
 def _as_times_tuple(times) -> Optional[Tuple[int, ...]]:
     if times is None:
         return None
-    out = tuple(int(t) for t in times)
-    if not out:
-        raise ConfigurationError("times must be non-empty when given")
+    out = _as_int_tuple("times", times)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigurationError("times must be strictly increasing")
     return out
@@ -428,18 +464,17 @@ class MixingTrendQuery:
     query_type = "mixing_trend"
 
     def __post_init__(self):
-        walks = tuple(int(w) for w in self.walk_lengths)
-        if not walks:
-            raise ConfigurationError("walk_lengths must be non-empty")
-        object.__setattr__(self, "walk_lengths", walks)
-        object.__setattr__(self, "num_sources", int(self.num_sources))
+        object.__setattr__(self, "walk_lengths", _as_walk_lengths(self.walk_lengths))
+        object.__setattr__(
+            self, "num_sources", _coerce(int, "num_sources", self.num_sources)
+        )
         if self.num_sources < 1:
             raise ConfigurationError(
                 f"num_sources must be >= 1, got {self.num_sources}"
             )
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _coerce(int, "seed", self.seed))
         object.__setattr__(self, "times", _as_times_tuple(self.times))
-        object.__setattr__(self, "laziness", float(self.laziness))
+        object.__setattr__(self, "laziness", _coerce(float, "laziness", self.laziness))
 
     @property
     def operator_kind(self) -> str:
@@ -534,9 +569,9 @@ class QueryResult:
     latency_s: float
     #: Version of the graph state the answer was computed against: the
     #: base snapshot's content fingerprint for registry-served queries,
-    #: :attr:`TemporalGraph.version` for trend queries.  Carried on the
-    #: v2 wire schema; absent from v1 replies.
-    graph_version: Optional[str] = None
+    #: :attr:`TemporalGraph.version` for trend queries.  Every wire reply
+    #: carries it.
+    graph_version: str
 
 
 class _Waiter:
@@ -714,7 +749,7 @@ class QueryEngine:
 
     def _finish(
         self, value, key, hit, coalesced, batch_size, start, query, *,
-        graph_version=None,
+        graph_version: str,
     ):
         latency = time.perf_counter() - start
         if OBS.enabled:
@@ -1078,7 +1113,7 @@ class QueryEngine:
         }
 
     def close(self) -> None:
-        """Retire the warm registry (unlinking its shared segments)."""
+        """Retire the warm registry."""
         self.registry.close()
 
     def __enter__(self) -> "QueryEngine":

@@ -6,14 +6,15 @@ request, which is exactly what the engine's leader-based coalescing
 expects: concurrent requests park in buckets while a leader runs the
 merged sweep.  No third-party framework, no event loop; the endpoint is
 
-* ``POST /query`` — one wire-format query (v1 or the versioned v2
-  schema; see :func:`repro.service.client.answer_payload`), answered
-  with the wire-format result.
+* ``POST /query`` — one wire-format query or ``append_delta`` (see
+  :func:`repro.service.client.answer_payload`), answered with the
+  wire-format result.
 * ``GET /stats`` — engine / cache / registry counters.
 * ``GET /health`` — liveness probe.
 
 Errors map to transport codes: malformed requests (bad JSON, a bad
-``Content-Length``, out-of-range sources) and unknown datasets are 400
+``Content-Length``, a field of the wrong type or range, a node id
+outside the graph) and unknown datasets are 400
 (:class:`~repro.errors.ReproError` subclasses carry the message).
 Anything else is 500 with an opaque body, ``{"error": "internal error",
 "error_id": …}``; the traceback goes to stderr under the same id, so a
@@ -103,8 +104,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             payload = self._read_body()
-            # answer_payload handles schema negotiation (v1 vs v2), so
-            # both front-ends speak exactly the same wire contract.
+            # answer_payload is the whole wire contract, shared with the
+            # in-process client.
             reply = answer_payload(self.engine, payload)
         except ReproError as exc:
             if OBS.enabled:
@@ -146,8 +147,7 @@ class ServiceServer:
     ``port=0`` binds an ephemeral port (the default, right for tests);
     the bound address is available as :attr:`address` after
     :meth:`start`.  Use as a context manager for deterministic shutdown,
-    which also closes the engine (unlinking warm segments) when
-    ``own_engine`` is true.
+    which also closes the engine when ``own_engine`` is true.
     """
 
     def __init__(

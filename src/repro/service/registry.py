@@ -1,26 +1,24 @@
 """Warm operator registry: build once, serve many requests.
 
 A batch run pays operator construction (connectivity + bipartiteness
-checks, CSR normalisation — ``O(m)``), stationary computation and, for
-parallel sweeps, shared-memory publication *per invocation*.  A service
-cannot: at interactive latencies those costs dominate the actual sweep.
-The registry amortises all three:
+checks, CSR normalisation — ``O(m)``) and the stationary solve *per
+invocation*.  A service cannot: at interactive latencies those costs
+dominate the actual sweep.  The registry amortises both:
 
-* **Construction** happens once per ``(graph content, operator kind,
-  laziness)`` and the operator (with its memoised ``stationary()``) is
-  reused by every later request.
-* **Publication** reuses PR-2 :func:`repro.core.parallel.publish_operator`
-  but pins the segment via
-  :func:`repro.core.parallel.pin_published_operator`, so parallel sweeps
-  attach to the *same* warm segment instead of republishing per call —
-  the registry-aware lifecycle hook added to the parallel layer for this
-  PR.
+* **Construction** happens once per ``(graph content, laziness)`` and
+  the operator (with its memoised ``stationary()``) is reused by every
+  later request.
 * **Lifecycle** is ref-counted: :meth:`OperatorRegistry.acquire` returns
   an :class:`OperatorLease` (a context manager) that pins the entry for
   the duration of a request; LRU eviction only ever retires entries with
-  zero live leases, and eviction/:meth:`OperatorRegistry.close` unpin
-  and **unlink** the shared segment explicitly — warm state never
-  outlives the registry.
+  zero live leases, and :meth:`OperatorRegistry.close` drops the table.
+
+The registry holds no shared memory.  A sweep at ``workers > 1``
+publishes the leased operator through
+:func:`repro.core.parallel.publish_operator` and unlinks the segment
+when it ends, exactly like a batch sweep.  Publishing costs at most
+~1.5% of such a call, so keeping segments warm bought nothing
+measurable.
 
 Thread-safety: one re-entrant lock guards the table; operator
 construction happens outside the lock (slow) with a per-key build latch
@@ -39,10 +37,6 @@ from .keys import graph_fingerprint
 
 __all__ = ["OperatorLease", "OperatorRegistry"]
 
-#: Operator flavours the registry knows how to construct.
-_OPERATOR_KINDS = ("plain",)
-
-
 class _Entry:
     """One warm operator plus its lifecycle state."""
 
@@ -53,20 +47,18 @@ class _Entry:
         "graph_key",
         "operator",
         "stationary",
-        "handle",
         "refs",
         "last_used",
         "hits",
     )
 
-    def __init__(self, key, dataset, graph, graph_key, operator, stationary, handle):
+    def __init__(self, key, dataset, graph, graph_key, operator, stationary):
         self.key = key
         self.dataset = dataset
         self.graph = graph
         self.graph_key = graph_key
         self.operator = operator
         self.stationary = stationary
-        self.handle = handle
         self.refs = 0
         self.last_used = time.monotonic()
         self.hits = 0
@@ -121,7 +113,7 @@ class OperatorLease:
 
 
 class OperatorRegistry:
-    """Keeps operators (and their shared-memory segments) warm across requests.
+    """Keeps operators warm across requests.
 
     Parameters
     ----------
@@ -135,11 +127,6 @@ class OperatorRegistry:
         :func:`repro.datasets.load_cached` so dataset names resolve
         through the standard registry.  Any callable works — tests pass
         closures over ad-hoc graphs.
-    publish:
-        When true (default), each entry's operator is published to a
-        warm shared-memory segment on first build (where the parallel
-        backend exists), so multi-worker sweeps attach instead of
-        republishing per request.
     """
 
     def __init__(
@@ -147,7 +134,6 @@ class OperatorRegistry:
         capacity: int = 8,
         *,
         loader: Optional[Callable[[str], object]] = None,
-        publish: bool = True,
     ) -> None:
         capacity = int(capacity)
         if capacity < 1:
@@ -158,7 +144,6 @@ class OperatorRegistry:
             loader = load_cached
         self.capacity = capacity
         self._loader = loader
-        self._publish = bool(publish)
         self._lock = threading.RLock()
         self._entries: Dict[Tuple, _Entry] = {}
         self._building: Dict[Tuple, threading.Event] = {}
@@ -168,20 +153,14 @@ class OperatorRegistry:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def acquire(
-        self, dataset: str, *, kind: str = "plain", laziness: float = 0.0
-    ) -> OperatorLease:
+    def acquire(self, dataset: str, *, laziness: float = 0.0) -> OperatorLease:
         """Lease the warm operator for ``dataset`` (building it if cold).
 
-        ``kind`` selects the operator flavour (``"plain"`` — the simple
-        random walk the paper measures); ``laziness`` is forwarded to
-        the operator constructor and participates in the entry key.
+        The operator is the simple random walk the paper measures;
+        ``laziness`` is forwarded to its constructor and participates in
+        the entry key.
         """
-        if kind not in _OPERATOR_KINDS:
-            raise ConfigurationError(
-                f"unknown operator kind {kind!r}; expected one of {_OPERATOR_KINDS}"
-            )
-        key = (str(dataset), kind, float(laziness))
+        key = (str(dataset), float(laziness))
         while True:
             with self._lock:
                 if self._closed:
@@ -222,30 +201,19 @@ class OperatorRegistry:
         """Cold-path construction (outside the table lock)."""
         from ..core.walks import TransitionOperator
 
-        dataset, _kind, laziness = key
+        dataset, laziness = key
         build_start = time.perf_counter()
         with OBS.span("service.registry.build", dataset=dataset, laziness=laziness):
             graph = self._loader(dataset)
             operator = TransitionOperator(graph, laziness=laziness)
             stationary = operator.stationary()
-            handle = None
-            if self._publish:
-                from ..core.parallel import pin_published_operator
-
-                handle = pin_published_operator(operator, stationary)
         if OBS.enabled:
             OBS.add("service.registry.builds")
             OBS.observe(
                 "service.registry.build_seconds", time.perf_counter() - build_start
             )
         return _Entry(
-            key,
-            dataset,
-            graph,
-            graph_fingerprint(graph),
-            operator,
-            stationary,
-            handle,
+            key, dataset, graph, graph_fingerprint(graph), operator, stationary
         )
 
     def _release(self, entry: _Entry) -> None:
@@ -265,15 +233,6 @@ class OperatorRegistry:
             self._evictions += 1
             if OBS.enabled:
                 OBS.add("service.registry.evictions")
-            self._retire(victim)
-
-    def _retire(self, entry: _Entry) -> None:
-        """Unpin and unlink one entry's warm segment."""
-        if entry.handle is not None:
-            from ..core.parallel import unpin_published_operator
-
-            unpin_published_operator(entry.operator)
-            entry.handle = None
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -285,26 +244,18 @@ class OperatorRegistry:
                 "builds": self._builds,
                 "evictions": self._evictions,
                 "leased": sum(1 for e in self._entries.values() if e.refs > 0),
-                "published": sum(
-                    1 for e in self._entries.values() if e.handle is not None
-                ),
             }
 
     def close(self) -> None:
-        """Retire every entry and unlink every warm segment.
+        """Drop every warm entry.
 
         Idempotent; the registry refuses new leases afterwards.  Live
         leases keep their (already-built) operators usable — only the
-        shared segments and the warm table go away.
+        warm table goes away.
         """
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            entries = list(self._entries.values())
             self._entries.clear()
-        for entry in entries:
-            self._retire(entry)
 
     def __enter__(self) -> "OperatorRegistry":
         return self

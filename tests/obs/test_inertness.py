@@ -646,9 +646,7 @@ def test_temporal_service_counters_recorded(obs):
     obs.reset()
     obs.enable()
     with QueryEngine(
-        registry=OperatorRegistry(
-            loader=lambda name: temporal.snapshot(), publish=False
-        ),
+        registry=OperatorRegistry(loader=lambda name: temporal.snapshot()),
         cache=ResultCache(),
         policy=ExecutionPolicy(workers=1),
         coalesce_window=0.0,

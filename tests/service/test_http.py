@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.mixing import measure_mixing
 from repro.service import (
+    SCHEMA_V2,
     HTTPServiceClient,
     OperatorRegistry,
     QueryEngine,
@@ -283,6 +284,59 @@ class TestErrorMapping:
         monkeypatch.undo()
         assert client.health() == {"status": "ok"}
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"type": "mixing_time", "dataset": "era", "source": "x", "epsilon": 0.25},
+            {"type": "mixing_time", "dataset": "era", "source": 0, "epsilon": "abc"},
+            {"type": "variation_curve", "dataset": "era", "sources": [0],
+             "walk_lengths": [3, 1]},
+            {"type": "mixing_time", "dataset": "era", "source": 0, "epsilon": 0.25,
+             "max_steps": -5},
+            {"type": "admission", "dataset": "era", "suspects": [1], "route_length": 4,
+             "verifier": 10_000},
+            {"type": "admission", "dataset": "era", "suspects": [10_000],
+             "route_length": 4},
+            {"schema": SCHEMA_V2, "type": "append_delta", "dataset": "era",
+             "timestamp": "abc"},
+        ],
+        ids=[
+            "source-not-int",
+            "epsilon-not-float",
+            "walk-lengths-decreasing",
+            "max-steps-negative",
+            "verifier-out-of-range",
+            "suspect-out-of-range",
+            "timestamp-not-int",
+        ],
+    )
+    def test_malformed_field_is_400_not_500(self, client, payload):
+        conn = client._conn
+        conn.request(
+            "POST",
+            "/query",
+            body=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        body = json.loads(response.read().decode())
+        assert response.status == 400, body
+        assert set(body) == {"error"}
+        # The same server (and connection) answers the next valid request.
+        assert client.mixing_time("era", 0, 0.25).value["source"] == 0
+
+    def test_attack_suspects_may_name_the_sybil_region(self, client, graphs):
+        from repro.errors import ConfigurationError
+
+        n = graphs["era"].num_nodes
+        attack = dict(
+            attack_strategy="random", num_sybil=4, num_attack_edges=2, attack_seed=1
+        )
+        reply = client.admission("era", [1, n, n + 3], 4, seed=7, **attack)
+        assert reply.value["suspects"] == [1, n, n + 3]
+        with pytest.raises(ConfigurationError, match="400.*suspect"):
+            client.admission("era", [1, n + 4], 4, seed=7, **attack)
+
     def test_server_survives_bad_requests(self, client):
         from repro.errors import ConfigurationError
 
@@ -316,3 +370,49 @@ class TestConcurrentClients:
         assert len(results) == 6
         for got in results:
             assert np.array_equal(got, batch)
+
+    def test_mixed_stream_from_concurrent_clients_matches_serial(self, server, graphs):
+        """Four clients, each with its own connection, rotate mixing-time
+        queries (distinct sources, so coalescing forms real batches),
+        variation curves and SLEM; every answer equals the serial one."""
+        from repro.core.spectral import slem
+        from repro.core.walks import TransitionOperator
+
+        clients, per_client = 4, 6
+        graph = graphs["era"]
+        curves = measure_mixing(graph, WALKS, sources=SOURCES).distances
+        times = TransitionOperator(graph).hitting_times(
+            list(range(clients * per_client)), 0.25
+        )
+        expected_slem = float(slem(graph))
+        host, port = server.address
+        answered = []
+        errors = []
+        barrier = threading.Barrier(clients)
+
+        def client_loop(client_id):
+            try:
+                with HTTPServiceClient(host, port) as c:
+                    barrier.wait()
+                    for i in range(per_client):
+                        source = client_id * per_client + i
+                        if i % 3 == 0:
+                            reply = c.mixing_time("era", source, 0.25)
+                            assert reply.value["time"] == int(times.times[source])
+                        elif i % 3 == 1:
+                            reply = c.variation_curve("era", SOURCES, WALKS)
+                            got = np.asarray(reply.value, dtype=np.float64)
+                            assert np.array_equal(got, curves)
+                        else:
+                            assert c.slem("era").value == expected_slem
+                        answered.append(source)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client_loop, args=(c,)) for c in range(clients)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, errors[0]
+        assert sorted(answered) == list(range(clients * per_client))

@@ -2,8 +2,8 @@
 
 POSIX shared memory persists until unlinked: a process killed between
 publish and close leaves its segment in /dev/shm until reboot.  These
-tests pin the three layers of defense added for the service (which holds
-warm segments for its whole lifetime, making the interrupt window wide):
+tests pin the three layers of defense (a long-lived service runs
+parallel sweeps for hours, so the interrupt window keeps recurring):
 
 * explicit cleanup (:func:`cleanup_published_segments`),
 * atexit cleanup on normal interpreter shutdown,
@@ -11,7 +11,8 @@ warm segments for its whole lifetime, making the interrupt window wide):
   diffs /dev/shm before and after),
 
 plus the fork guard: a child process inheriting the parent's segment
-table must never unlink segments it does not own.
+table must never unlink segments it does not own, and the service's own
+``workers=2`` sweeps, which leave no segment behind once they answer.
 """
 
 from __future__ import annotations
@@ -22,17 +23,19 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+from repro.core import parallel
 from repro.core.parallel import (
     cleanup_published_segments,
     describe_operator,
     parallel_backend_available,
-    pin_published_operator,
     publish_operator,
-    unpin_published_operator,
 )
+from repro.core.runtime import ExecutionPolicy
 from repro.core.walks import TransitionOperator
+from repro.service import OperatorRegistry, QueryEngine, ResultCache
 
 pytestmark = pytest.mark.skipif(
     not parallel_backend_available(), reason="needs shared-memory backend"
@@ -68,16 +71,6 @@ class TestExplicitCleanup:
         handle.close()
         assert cleanup_published_segments() == 0
 
-    def test_pinned_segments_are_tracked_too(self, er_medium):
-        before = _shm_entries()
-        operator = TransitionOperator(er_medium)
-        handle = pin_published_operator(operator)
-        assert handle is not None
-        assert len(_shm_entries() - before) == 1
-        unpin_published_operator(operator)
-        assert _shm_entries() - before == set()
-        assert not unpin_published_operator(operator)  # second unpin: no-op
-
 
 class TestForkGuard:
     def test_forked_child_never_unlinks_parent_segments(self, er_medium):
@@ -101,7 +94,7 @@ _CHILD_TEMPLATE = r"""
 import os, sys, threading, time
 sys.path.insert(0, {src!r})
 import numpy as np
-from repro.core.parallel import install_signal_cleanup, pin_published_operator
+from repro.core.parallel import describe_operator, install_signal_cleanup, publish_operator
 from repro.core.walks import TransitionOperator
 from repro.generators import erdos_renyi_gnm
 from repro.graph import largest_connected_component
@@ -110,8 +103,8 @@ from repro.graph import largest_connected_component
 
 graph = largest_connected_component(erdos_renyi_gnm(80, 240, seed=3))[0]
 operator = TransitionOperator(graph)
-handle = pin_published_operator(operator)
-assert handle is not None
+kind, matrix, extras = describe_operator(operator)
+handle = publish_operator(kind, matrix, operator.stationary(), **extras)  # never closed
 
 def sweep():
     # A genuinely long-running sweep so SIGTERM lands mid-computation.
@@ -195,13 +188,14 @@ class TestAtexitCleanup:
         script.write_text(
             "import sys\n"
             f"sys.path.insert(0, {src!r})\n"
-            "from repro.core.parallel import pin_published_operator\n"
+            "from repro.core.parallel import describe_operator, publish_operator\n"
             "from repro.core.walks import TransitionOperator\n"
             "from repro.generators import erdos_renyi_gnm\n"
             "from repro.graph import largest_connected_component\n"
             "graph = largest_connected_component(erdos_renyi_gnm(60, 180, seed=3))[0]\n"
-            "handle = pin_published_operator(TransitionOperator(graph))\n"
-            "assert handle is not None\n"
+            "operator = TransitionOperator(graph)\n"
+            "kind, matrix, extras = describe_operator(operator)\n"
+            "handle = publish_operator(kind, matrix, operator.stationary(), **extras)\n"
             "print(handle.payload.shm_name, flush=True)\n"
             # exits without close(): atexit must reclaim
         )
@@ -215,3 +209,43 @@ class TestAtexitCleanup:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip()
         assert _shm_entries() - before == set()
+
+
+class TestServiceSweeps:
+    """A ``workers=2`` engine publishes per sweep, exactly like a batch
+    sweep: nothing stays published between answers or after close()."""
+
+    def test_workers_two_answers_equal_serial_and_leave_no_segment(
+        self, er_medium, monkeypatch
+    ):
+        sources = list(range(0, er_medium.num_nodes, 7))
+        walks = [1, 2, 4, 8]
+        operator = TransitionOperator(er_medium)
+        curves = operator.variation_curves(sources, walks)
+        times = operator.hitting_times(sources[:3], 0.25)
+        published = []
+
+        def counting_publish(*args, **kwargs):
+            published.append(args[0])
+            return publish_operator(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "publish_operator", counting_publish)
+        assert parallel._LIVE_SEGMENTS == {}
+        engine = QueryEngine(
+            OperatorRegistry(loader=lambda name: er_medium),
+            ResultCache(max_entries=0),
+            policy=ExecutionPolicy(workers=2),
+            coalesce_window=0.0,
+        )
+        with engine:
+            for _ in range(2):
+                reply = engine.variation_curve("g", sources, walks)
+                assert np.array_equal(np.asarray(reply.value), curves)
+                assert parallel._LIVE_SEGMENTS == {}
+            for i, source in enumerate(sources[:3]):
+                reply = engine.mixing_time("g", source, 0.25)
+                assert reply.value["time"] == int(times.times[i])
+                assert reply.value["final_distance"] == float(times.final_distances[i])
+                assert parallel._LIVE_SEGMENTS == {}
+        assert parallel._LIVE_SEGMENTS == {}
+        assert published == ["csr", "csr"]  # one segment per fanned-out sweep

@@ -43,9 +43,7 @@ def shared_temporal():
 
 def _engine(shared_temporal, **kwargs) -> QueryEngine:
     defaults = dict(
-        registry=OperatorRegistry(
-            loader=lambda name: shared_temporal.snapshot(), publish=False
-        ),
+        registry=OperatorRegistry(loader=lambda name: shared_temporal.snapshot()),
         cache=ResultCache(),
         policy=ExecutionPolicy(workers=1),
         coalesce_window=0.0,

@@ -1,11 +1,11 @@
-"""Wire-schema versioning: v1 byte-compatibility and the v2 contract.
+"""The wire contract: one schema, whose ``schema`` key is optional.
 
-The compatibility pin: a payload **without** a ``schema`` key is a v1
-request and must receive exactly the six historical reply keys — no
-``schema``, no ``graph_version`` — so pre-temporal clients never see a
-key they did not ask for.  ``schema: repro.service.query/v2`` unlocks
-the trend vocabulary, ``append_delta`` and optimistic ``graph_version``
-pins, over both front-ends (in-process and HTTP) via the single
+A payload without a ``schema`` key means :data:`SCHEMA_V2`, so it gets
+the same answer, fingerprint, graph version and reply keys as the same
+payload carrying the key.  Every query type (trend types included) and
+``append_delta`` work either way; any other schema value is refused.
+Optimistic ``graph_version`` pins are checked over both front-ends
+(in-process and HTTP) via the single
 :func:`~repro.service.client.answer_payload` codec seam.
 """
 
@@ -28,9 +28,19 @@ from repro.service import (
     answer_payload,
 )
 
-#: The historical reply shape, pinned exactly.  Adding a key to v1 is a
-#: wire-compatibility break even if every client "should" ignore it.
-V1_REPLY_KEYS = ["batch_size", "cache_hit", "coalesced", "fingerprint", "latency_s", "value"]
+#: The reply shape of every answered query, pinned exactly.
+REPLY_KEYS = sorted(
+    [
+        "batch_size",
+        "cache_hit",
+        "coalesced",
+        "fingerprint",
+        "graph_version",
+        "latency_s",
+        "schema",
+        "value",
+    ]
+)
 
 
 def _temporal() -> TemporalGraph:
@@ -46,7 +56,7 @@ def _temporal() -> TemporalGraph:
 def engine():
     temporal = _temporal()
     with QueryEngine(
-        registry=OperatorRegistry(loader=lambda name: temporal.snapshot(), publish=False),
+        registry=OperatorRegistry(loader=lambda name: temporal.snapshot()),
         cache=ResultCache(),
         policy=ExecutionPolicy(workers=1),
         coalesce_window=0.0,
@@ -55,29 +65,50 @@ def engine():
         yield eng
 
 
+#: One payload per query type, none with a ``schema`` key.
+SCHEMALESS_PAYLOADS = [
+    {"type": "slem", "dataset": "toy"},
+    {"type": "mixing_time", "dataset": "toy", "source": 3, "epsilon": 0.25},
+    {"type": "variation_curve", "dataset": "toy", "sources": [0, 5], "walk_lengths": [1, 4]},
+    {"type": "admission", "dataset": "toy", "suspects": [1, 2], "route_length": 3, "seed": 1},
+    {"type": "slem_trend", "dataset": "toy"},
+    {"type": "mixing_trend", "dataset": "toy", "walk_lengths": [1, 3], "num_sources": 4},
+]
+
+
 class TestV1Compatibility:
-    def test_v1_reply_keys_pinned(self, engine):
-        reply = answer_payload(engine, {"type": "slem", "dataset": "toy"})
-        assert sorted(reply) == V1_REPLY_KEYS
-
-    def test_v1_rejects_trend_types(self, engine):
-        with pytest.raises(ConfigurationError, match="unknown query type"):
-            answer_payload(engine, {"type": "slem_trend", "dataset": "toy"})
-
-    def test_unknown_schema_refused(self, engine):
-        with pytest.raises(ConfigurationError, match="unknown wire schema"):
-            answer_payload(
-                engine,
-                {"schema": "repro.service.query/v9", "type": "slem", "dataset": "toy"},
-            )
+    """Payloads written for the retired v1 wire (no ``schema`` key) are
+    answered under the one contract: they mean v2."""
 
     def test_v1_and_v2_same_value_same_fingerprint(self, engine):
-        v1 = answer_payload(engine, {"type": "slem", "dataset": "toy"})
-        v2 = answer_payload(
-            engine, {"schema": SCHEMA_V2, "type": "slem", "dataset": "toy"}
+        for payload in SCHEMALESS_PAYLOADS:
+            bare = answer_payload(engine, dict(payload))
+            keyed = answer_payload(engine, {"schema": SCHEMA_V2, **payload})
+            assert sorted(bare) == sorted(keyed) == REPLY_KEYS, payload
+            assert bare["value"] == keyed["value"], payload
+            assert bare["fingerprint"] == keyed["fingerprint"], payload
+            assert bare["graph_version"] == keyed["graph_version"], payload
+            assert bare["schema"] == keyed["schema"] == SCHEMA_V2, payload
+
+    def test_trend_types_need_no_schema(self, engine):
+        reply = answer_payload(engine, {"type": "slem_trend", "dataset": "toy"})
+        assert isinstance(reply["graph_version"], str)
+        assert len(reply["value"]["slem"]) == 2
+
+    def test_append_delta_needs_no_schema(self, engine):
+        reply = answer_payload(
+            engine,
+            {"type": "append_delta", "dataset": "toy", "timestamp": 20, "insert": [[2, 9]]},
         )
-        assert v1["value"] == v2["value"]
-        assert v1["fingerprint"] == v2["fingerprint"]
+        assert reply["schema"] == SCHEMA_V2
+        assert reply["value"]["num_insert"] == 1
+
+    def test_unknown_schema_refused(self, engine):
+        for schema in ("repro.service.query/v9", None, 2):
+            with pytest.raises(ConfigurationError, match="unknown wire schema"):
+                answer_payload(
+                    engine, {"schema": schema, "type": "slem", "dataset": "toy"}
+                )
 
 
 class TestV2Contract:
@@ -85,7 +116,7 @@ class TestV2Contract:
         reply = answer_payload(
             engine, {"schema": SCHEMA_V2, "type": "slem", "dataset": "toy"}
         )
-        assert sorted(reply) == sorted(V1_REPLY_KEYS + ["schema", "graph_version"])
+        assert sorted(reply) == REPLY_KEYS
         assert reply["schema"] == SCHEMA_V2
         assert reply["graph_version"] == engine.stats()["temporal"].get(
             "datasets", {}
@@ -198,10 +229,10 @@ class TestFrontEndParity:
         with ServiceServer(engine) as server:
             host, port = server.address
             http = HTTPServiceClient(host, port)
-            # v1 verb: historical keys only.
-            v1 = http.query({"type": "slem", "dataset": "toy"})
-            assert sorted(v1) == V1_REPLY_KEYS
-            # v2 trend verb decodes with a graph_version.
+            # A point query decodes with a graph_version too.
+            point = http.slem("toy")
+            assert point.graph_version is not None
+            # A trend verb decodes with a graph_version.
             trend = http.slem_trend("toy")
             assert trend.graph_version is not None
             assert len(trend.value["slem"]) == 2

@@ -92,7 +92,7 @@ class TestInternalPathsAreWarningFree:
         graph = _test_graph()
         temporal = _test_temporal()
         engine = QueryEngine(
-            registry=OperatorRegistry(loader=lambda name: graph, publish=False),
+            registry=OperatorRegistry(loader=lambda name: graph),
             cache=ResultCache(),
             policy=ExecutionPolicy(workers=1),
             coalesce_window=0.0,
