@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_workers_arg,
         default=None,
         metavar="N",
-        help="processes for multi-source sweeps (-1 = all cores; "
+        help="processes for multi-source sweeps (-1 = all usable cores; "
         "default serial; results are identical at any setting)",
     )
     parser.add_argument(
@@ -398,7 +398,6 @@ def _serve(args) -> int:
     policy = ExecutionPolicy(
         workers=args.workers,
         block_size=args.block_size,
-        telemetry=telemetry,
         memory_budget=args.memory_budget,
         **({"backend": args.backend} if args.backend is not None else {}),
     )
@@ -482,7 +481,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         shard_timeout=args.shard_timeout,
         checkpoint_dir=args.checkpoint_dir,
         resume=not args.no_resume,
-        telemetry=telemetry,
         memory_budget=args.memory_budget,
         **({"max_retries": args.max_retries} if args.max_retries is not None else {}),
         **({"backend": args.backend} if args.backend is not None else {}),

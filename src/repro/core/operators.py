@@ -200,9 +200,7 @@ class MarkovOperator(ABC):
             or getattr(self, "_matrix", None) is None
         ):
             return self._apply_block
-        cache = getattr(self, "_backend_cache", None)
-        if cache is None:  # operators built before _init_operator grew the cache
-            cache = self._backend_cache = {}
+        cache = self._backend_cache
         key = (name, policy.memory_budget)
         step = cache.get(key)
         if step is None:

@@ -6,8 +6,8 @@ parallel across sources: every row of a
 :meth:`~repro.core.operators.MarkovOperator.hitting_times` /
 :meth:`~repro.core.operators.MarkovOperator.evolve_block` call evolves an
 independent chain, and so does every random-route instance of the Sybil
-defenses.  This module fans those rows out across processes (or
-threads) so a 1000-source sweep uses every core instead of one.
+defenses.  This module fans those rows out across processes so a
+1000-source sweep uses every core instead of one.
 
 Design
 ------
@@ -18,17 +18,15 @@ Design
   worker count → checkpoint fingerprint → publication → the
   fault-tolerant :func:`~repro.core.runtime.run_sharded` → concatenation.
   The ``maybe_parallel_*`` functions only build that description.
-* **Publish once, attach zero-copy.**  Under ``execution="processes"``
-  the state's arrays (an operator's CSR arrays, reference vector and
-  dangling mask, or the route engine's tables) are packed into a single
+* **Publish once, attach zero-copy.**  The state's arrays (an
+  operator's CSR arrays, reference vector and dangling mask, or the
+  route engine's tables) are packed into a single
   :mod:`multiprocessing.shared_memory` segment.  Workers attach
   ``numpy`` views straight onto it (no pickling of the matrix, no
   per-worker copy), rebuild the same kind of state around them, and call
   the same shard function the serial path calls.  Each sweep publishes
   its own segment and unlinks it when the sweep ends, service sweeps
-  included: nothing stays published between calls.  Under
-  ``execution="threads"`` publication is skipped: shards run on the
-  in-process state.
+  included: nothing stays published between calls.
 * **Same kernel, same numbers.**  Worker operators either inherit the
   base ``X @ P`` kernel or invoke
   ``DirectedTransitionOperator._apply_block`` *itself* on duck-typed
@@ -41,9 +39,9 @@ Design
   ``None`` — and the caller runs its serial path — when ``workers``
   resolves to <= 1 (and no checkpoint directory is set), there are no
   rows, the platform cannot ``fork`` (the pool relies on copy-on-write
-  module state), shared memory is unavailable, ``REPRO_PARALLEL=0`` is
-  set, or the operator carries a custom ``_apply_block`` this runtime
-  does not know how to replicate.
+  module state), shared memory is unavailable, or the operator carries
+  a custom ``_apply_block`` this runtime does not know how to
+  replicate.
 
 The public surface for callers is ``policy=ExecutionPolicy(workers=…)``
 on the :class:`~repro.core.operators.MarkovOperator` block APIs (and the
@@ -56,6 +54,7 @@ from __future__ import annotations
 import atexit
 import os
 import signal
+import sys
 import threading
 import time
 from contextlib import nullcontext
@@ -94,11 +93,6 @@ _OVERSHARD = 4
 #: Byte alignment of each array inside the shared segment (cache line).
 _ALIGN = 64
 
-#: Environment kill-switch: ``REPRO_PARALLEL=0`` forces the serial path
-#: everywhere without touching call sites (debugging, constrained CI).
-_ENV_SWITCH = "REPRO_PARALLEL"
-
-
 # ----------------------------------------------------------------------
 # Worker-count resolution
 # ----------------------------------------------------------------------
@@ -106,13 +100,16 @@ def resolve_workers(workers: Optional[int]) -> int:
     """Normalise a ``workers`` request to a concrete process count.
 
     ``None``, ``0`` and ``1`` mean *serial* (no pool); ``-1`` means one
-    worker per available core (``os.cpu_count()``); any other positive
+    worker per core this process may run on (its CPU affinity mask where
+    the platform has one, else ``os.cpu_count()``); any other positive
     integer is honoured verbatim.  Values below ``-1`` raise.
     """
     if workers is None:
         return 1
     count = int(workers)
     if count == -1:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     if count < 0:
         raise ValueError(f"workers must be >= -1, got {workers}")
@@ -121,26 +118,12 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 def parallel_backend_available() -> bool:
     """True when the fork + shared-memory runtime can be used here."""
-    if os.environ.get(_ENV_SWITCH, "") == "0":
-        return False
     try:
         import multiprocessing
         import multiprocessing.shared_memory  # noqa: F401  (probe import)
     except ImportError:  # pragma: no cover - stdlib always has these
         return False
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _fanout_available(policy: ExecutionPolicy) -> bool:
-    """Whether this policy's execution mode can fan out at all.
-
-    ``execution="threads"`` needs no fork and no shared memory — only
-    the ``REPRO_PARALLEL=0`` kill-switch can veto it; ``"processes"``
-    needs the full fork + shared-memory backend.
-    """
-    if policy.execution == "threads":
-        return os.environ.get(_ENV_SWITCH, "") != "0"
-    return parallel_backend_available()
 
 
 # ----------------------------------------------------------------------
@@ -526,20 +509,37 @@ def _build_views(shm, fields: Tuple[_ArrayField, ...]) -> Dict[str, np.ndarray]:
     return views
 
 
+def _open_untracked(name: str):
+    """Attach to segment ``name`` without registering it with the tracker.
+
+    Fork workers inherit the parent's resource tracker, and the parent's
+    create-side registration and ``unlink()`` already account for the
+    segment.  Registering again from a worker is not only redundant but
+    can hang it: ``register`` takes the tracker's in-process lock, and a
+    worker forked while another parent thread held that lock (publishing
+    a segment for a concurrent sweep) inherits it held forever.  Before
+    python 3.13 (no ``track=``) the tracker's ``register`` is stubbed out
+    for the call, which is safe because only single-threaded pool
+    workers attach.
+    """
+    from multiprocessing import resource_tracker, shared_memory
+
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    register = resource_tracker.register
+    resource_tracker.register = lambda *args: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
+
+
 def _attach(payload: OperatorPayload):
     global _ATTACH_SECONDS_PENDING
     entry = _ATTACHED.get(payload.shm_name)
     if entry is None:
-        from multiprocessing import shared_memory
-
         attach_start = time.perf_counter()
-        shm = shared_memory.SharedMemory(name=payload.shm_name)
-        # No resource-tracker bookkeeping here: fork workers inherit the
-        # parent's tracker, whose cache is a *set* — the attach-side
-        # registration collapses into the parent's create-side one, and
-        # the parent's unlink() retires it exactly once.  (An explicit
-        # unregister per worker would over-remove and make the tracker
-        # print KeyError noise at shutdown.)
+        shm = _open_untracked(payload.shm_name)
         try:
             views = _build_views(shm, payload.fields)
         except BaseException:
@@ -664,7 +664,7 @@ class _Sweep(NamedTuple):
     #: What ``run`` receives in this process.
     state: Any
     #: Context manager yielding the :class:`SharedOperatorHandle` that
-    #: workers rebuild ``state`` from (process execution only).
+    #: workers rebuild ``state`` from (pooled runs only).
     publish: Callable[[], Any]
     #: Content-addressed checkpoint key; ``None``: never checkpointed.
     fingerprint: Optional[Callable[[], str]] = None
@@ -676,34 +676,28 @@ def _fan_out(sweep: _Sweep, policy: ExecutionPolicy):
     """Run ``sweep`` sharded, or return ``None`` for the caller's serial path.
 
     The sweep fans out when ``policy.workers`` resolves to more than one
-    worker and the execution mode is available here; with
+    worker and the fork + shared-memory pool is available here; with
     ``policy.checkpoint_dir`` set (and a fingerprint) it runs — serially
     if need be — through the checkpointing executor.  Shard results are
     concatenated along ``sweep.axis`` (tuple results column by column).
     """
     count = min(resolve_workers(policy.workers), sweep.total)
-    use_pool = count > 1 and _fanout_available(policy)
+    use_pool = count > 1 and parallel_backend_available()
     checkpointed = policy.checkpoint_dir is not None and sweep.fingerprint is not None
     if sweep.total == 0 or not (use_pool or checkpointed):
         return None
-    publish = use_pool and policy.execution == "processes"
     span = OBS.current_span() if use_pool and OBS.enabled else None
     if span is not None:  # tag the enclosing operator span
         span.set(path="parallel", workers=count, shards=min(sweep.total, count * _OVERSHARD))
-    with (sweep.publish() if publish else nullcontext()) as handle:
+    with (sweep.publish() if use_pool else nullcontext()) as handle:
         parts = run_sharded(
             kind=sweep.kind,
             total=sweep.total,
             policy=policy,
             workers=count if use_pool else 1,
-            make_task=(
-                (lambda lo, hi: (handle.payload, sweep.run, sweep.args(lo, hi)))
-                if publish
-                else None
-            ),
+            make_task=lambda lo, hi: (handle.payload, sweep.run, sweep.args(lo, hi)),
             serial_run=lambda lo, hi: sweep.run(sweep.state, *sweep.args(lo, hi)),
             fingerprint=sweep.fingerprint() if checkpointed else None,
-            use_pool=use_pool,
             overshard=_OVERSHARD,
         )
     if isinstance(parts[0], tuple):
@@ -718,7 +712,7 @@ def _operator_fingerprint(
 
     Hashes the CSR arrays, the operator's extra dynamics (damping /
     dangling mask / originator bias) and the sweep parameters — but not
-    ``workers``/``block_size``/``execution``, to which results are
+    ``workers``/``block_size``, to which results are
     pinned invariant.  ``backend`` follows the same rule *conditionally*:
     float64 backends are bit-identical to the oracle, so they share the
     oracle's fingerprint (a checkpoint taken under one resumes under

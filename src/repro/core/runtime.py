@@ -103,7 +103,7 @@ class ExecutionPolicy:
     ----------
     workers:
         Process count for the shared-memory pool.  ``None``/``0``/``1``
-        stay serial, ``-1`` uses every core.
+        stay serial, ``-1`` uses every core the process may run on.
     block_size:
         Rows per dense evolution chunk (``None`` → sized from the
         operator layer's memory budget).
@@ -124,12 +124,6 @@ class ExecutionPolicy:
         When true (default) a checkpointed sweep skips shards already
         on disk; when false existing checkpoints for this sweep are
         discarded and recomputed.
-    telemetry:
-        Convenience mirror of ``ExperimentConfig.telemetry`` for
-        policy-first callers: the experiment harness/CLI enable the
-        process-wide :data:`repro.obs.OBS` registry when set.  The
-        numeric layers ignore it (telemetry is process-global and
-        provably inert).
     backend:
         Name of the SpMM kernel serving the blocked ``X @ P`` hot path
         (see :mod:`repro.core.backends`).  ``"numpy"`` (default) and
@@ -139,13 +133,6 @@ class ExecutionPolicy:
         ``"float32"`` trades a pinned error envelope for bandwidth and
         therefore *does* perturb results (its sweeps fingerprint and
         cache separately).  Unknown names fail here, at construction.
-    execution:
-        ``"processes"`` (default) fans shards out across the PR-2
-        fork + shared-memory pool; ``"threads"`` runs the same shards on
-        a thread pool calling the in-process serial kernel directly — no
-        fork, no publish, no pickling, same bits (numpy releases the GIL
-        inside the SpMM).  Threads win on small sweeps where the pool's
-        startup overhead dominates.
     memory_budget:
         Bytes of working memory one sweep may hold at a time.  ``None``
         (default) keeps the historical behaviour (dense blocks sized
@@ -164,9 +151,7 @@ class ExecutionPolicy:
     shard_timeout: Optional[float] = None
     checkpoint_dir: Optional[str] = None
     resume: bool = True
-    telemetry: bool = False
     backend: str = DEFAULT_BACKEND
-    execution: str = "processes"
     memory_budget: Optional[int] = None
 
     def __post_init__(self):
@@ -207,10 +192,6 @@ class ExecutionPolicy:
             # up inside JSON run manifests via dataclasses.asdict.
             object.__setattr__(self, "checkpoint_dir", os.fspath(self.checkpoint_dir))
         validate_backend(self.backend)
-        if self.execution not in ("processes", "threads"):
-            raise ConfigurationError(
-                f"execution must be 'processes' or 'threads', got {self.execution!r}"
-            )
         mb = self.memory_budget
         if mb is not None:
             if isinstance(mb, bool) or not isinstance(mb, (int, np.integer)) or mb < 1:
@@ -632,10 +613,7 @@ def _retire_executor(executor, *, kill: bool) -> None:
                 process.kill()
             except Exception:  # pragma: no cover - already dead
                 pass
-    try:
-        executor.shutdown(wait=not kill, cancel_futures=kill)
-    except TypeError:  # pragma: no cover - python < 3.9
-        executor.shutdown(wait=not kill)
+    executor.shutdown(wait=not kill, cancel_futures=kill)
 
 
 def run_sharded(
@@ -647,18 +625,19 @@ def run_sharded(
     make_task: Optional[Callable[[int, int], tuple]],
     serial_run: Callable[[int, int], Any],
     fingerprint: Optional[str] = None,
-    use_pool: bool = True,
     overshard: int = 4,
 ) -> List[Any]:
     """Execute a sweep over ``total`` independent rows, fault-tolerantly.
 
     Returns the per-shard results ordered by row offset, covering
     ``[0, total)`` exactly; the caller concatenates along its sweep
-    axis.  ``make_task(lo, hi)`` builds the picklable pool-task tuple
-    for one shard; ``serial_run(lo, hi)`` computes the same rows
-    in-process (used for non-pool execution and for degradation) —
-    both must produce bit-identical rows, which every kernel in this
-    package does by construction.
+    axis.  The pool runs iff ``workers > 1``; otherwise the shards run
+    in order, in-process.  ``make_task(lo, hi)`` builds the picklable
+    pool-task tuple for one shard (unused, and may be ``None``, at one
+    worker); ``serial_run(lo, hi)`` computes the same rows in-process
+    (used for non-pool execution and for degradation) — both must
+    produce bit-identical rows, which every kernel in this package does
+    by construction.
 
     Failure handling (pool path): a shard whose worker dies
     (``BrokenProcessPool``), exceeds ``policy.shard_timeout`` or raises
@@ -700,13 +679,10 @@ def run_sharded(
         if OBS.enabled:
             for lo, hi in pending:
                 OBS.observe("parallel.shard_rows", hi - lo)
-        if use_pool and workers > 1:
-            if policy.execution == "threads":
-                _execute_threads(kind, pending, workers, serial_run, _finish)
-            else:
-                _execute_pool(
-                    kind, pending, policy, workers, make_task, serial_run, _finish
-                )
+        if workers > 1:
+            _execute_pool(
+                kind, pending, policy, workers, make_task, serial_run, _finish
+            )
         else:
             for lo, hi in pending:
                 _finish(lo, hi, serial_run(lo, hi))
@@ -726,39 +702,6 @@ def run_sharded(
             f"internal: {kind} sweep left rows [{cursor}, {total}) uncovered"
         )
     return out
-
-
-def _execute_threads(
-    kind: str,
-    pending: List[Tuple[int, int]],
-    workers: int,
-    serial_run: Callable[[int, int], Any],
-    finish: Callable[[int, int, Any], None],
-) -> None:
-    """Thread-pool fan-out: the serial kernel, concurrently.
-
-    Each shard calls ``serial_run`` — the in-process code path itself —
-    on a worker thread; numpy/scipy release the GIL inside the SpMM, so
-    independent shards overlap without fork or shared-memory publish
-    overhead.  No retry machinery: there is no process to die and no
-    deadline to miss, so a shard exception is a real error and
-    propagates (after every submitted future is drained).  Results are
-    bit-identical to serial by construction — it *is* the serial kernel.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    if OBS.enabled:
-        OBS.add("runtime.thread_sweeps")
-        OBS.add("runtime.thread_shards", len(pending))
-    with OBS.span(
-        "parallel.thread_pool", kind=kind, workers=int(workers), tasks=len(pending)
-    ):
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = [
-                (lo, hi, executor.submit(serial_run, lo, hi)) for lo, hi in pending
-            ]
-            for lo, hi, future in futures:
-                finish(lo, hi, future.result())
 
 
 def _execute_pool(

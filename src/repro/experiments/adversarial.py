@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.parallel import resolve_workers
 from ..core.runtime import ExecutionPolicy, run_sharded, sweep_fingerprint
 from ..datasets import load_cached
 from ..errors import ConfigurationError
@@ -318,11 +317,12 @@ def adversarial_sweep(
     Each grid cell rebuilds its scenario from coordinates (one seed per
     (strategy, size), so budgets nest along g and every defense sees the
     identical attack), runs one defense, and reduces to four admission
-    counts.  Cells are the sharding unit of
+    counts.  Cells run in order, one shard each, through
     :func:`~repro.core.runtime.run_sharded`: with
     ``policy.checkpoint_dir`` set, each finished cell persists and an
-    interrupted sweep resumes without recomputation; worker count and
-    execution mode never change the numbers.
+    interrupted sweep resumes without recomputation.  Each cell's
+    defense fans its own sweeps out under ``policy``; the worker count
+    never changes the numbers.
     """
     policy = policy if policy is not None else ExecutionPolicy()
     resolved: List[AttackStrategy] = [
@@ -424,11 +424,10 @@ def adversarial_sweep(
             kind="adversarial",
             total=len(cells),
             policy=policy,
-            workers=resolve_workers(policy.workers),
+            workers=1,
             make_task=None,
             serial_run=_serial_run,
             fingerprint=fingerprint,
-            use_pool=(policy.execution == "threads"),
             overshard=len(cells),
         )
     flat = np.concatenate(shards, axis=0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.runtime import ExecutionPolicy
+from ..core.runtime import DEFAULT_POLICY, ExecutionPolicy
 from ..errors import ConfigurationError
 
 __all__ = ["ExperimentConfig", "FAST", "FULL", "validate_workers"]
@@ -22,8 +22,8 @@ __all__ = ["ExperimentConfig", "FAST", "FULL", "validate_workers"]
 def validate_workers(workers: Optional[int]) -> Optional[int]:
     """Parse-time validation of a ``workers`` knob; returns it unchanged.
 
-    Accepts ``None`` (serial), ``-1`` (all cores) and positive integers.
-    Rejects ``0``, other negatives, booleans and non-integers with
+    Accepts ``None`` (serial), ``-1`` (every usable core) and positive
+    integers.  Rejects ``0``, other negatives, booleans and non-integers with
     :class:`~repro.errors.ConfigurationError` — *before* any sweep runs,
     so a typo'd ``--workers`` fails in milliseconds instead of silently
     degrading a multi-hour run.  (The runtime-level
@@ -69,8 +69,9 @@ class ExperimentConfig:
     policy:
         Optional :class:`~repro.core.runtime.ExecutionPolicy` bundling
         *all* execution knobs (workers, block size, retries, shard
-        timeout, checkpoint directory); runners read it, with
-        ``telemetry`` folded in, via :attr:`execution_policy`.  Its
+        timeout, checkpoint directory, backend, memory budget); runners
+        read it via :attr:`execution_policy`, and it runs on the fork +
+        shared-memory process pool when ``workers`` exceeds one.  Its
         ``workers`` is validated at construction time by
         :func:`validate_workers`.  Set via the ``--workers``/
         ``--block-size``/``--checkpoint-dir``/``--max-retries``/
@@ -111,16 +112,10 @@ class ExperimentConfig:
     def execution_policy(self) -> ExecutionPolicy:
         """The :class:`~repro.core.runtime.ExecutionPolicy` runners forward.
 
-        The explicit ``policy=`` (default: serial, auto-sized chunks)
-        with ``telemetry`` folded in.
+        The explicit ``policy=``, or :data:`DEFAULT_POLICY` (serial,
+        auto-sized chunks) when none was given.
         """
-        if self.policy is None:
-            return ExecutionPolicy(telemetry=self.telemetry)
-        if self.policy.telemetry != self.telemetry:
-            from dataclasses import replace
-
-            return replace(self.policy, telemetry=self.telemetry)
-        return self.policy
+        return self.policy or DEFAULT_POLICY
 
     @property
     def is_fast(self) -> bool:

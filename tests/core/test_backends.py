@@ -24,6 +24,8 @@ uniform-start estimator against hard-coded golden values.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,7 +276,7 @@ class TestGoldenDifferential:
 
 
 # ----------------------------------------------------------------------
-# Serial equivalence: workers / execution mode never change answers
+# Serial equivalence: the worker count never changes answers
 # ----------------------------------------------------------------------
 needs_pool = pytest.mark.skipif(
     not __import__("repro.core.parallel", fromlist=["parallel_backend_available"])
@@ -297,25 +299,38 @@ class TestSerialEquivalence:
         pooled = sweep_curves("plain", backend, workers=2)
         assert np.array_equal(serial, pooled)
 
+    @needs_pool
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_thread_pool_identity(self, backend):
+        # Two caller threads fan out on the process pool at once, as the
+        # threaded HTTP service's request handlers do.
         serial = sweep_curves("plain", backend)
-        threaded = sweep_curves("plain", backend, workers=2, execution="threads")
-        assert np.array_equal(serial, threaded)
+        callers = ThreadPoolExecutor(max_workers=2)
+        try:
+            futures = [
+                callers.submit(sweep_curves, "plain", backend, workers=2)
+                for _ in range(2)
+            ]
+            pooled = [future.result(timeout=120) for future in futures]
+        finally:
+            callers.shutdown(wait=False)  # a deadlock fails, not hangs, the test
+        for got in pooled:
+            assert np.array_equal(serial, got)
 
     @needs_pool
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_threads_equal_processes(self, backend):
-        threads = sweep_hitting("plain", backend, workers=2, execution="threads")
-        procs = sweep_hitting("plain", backend, workers=2)
-        assert np.array_equal(threads.times, procs.times)
-        assert np.array_equal(threads.final_distances, procs.final_distances)
+    def test_process_pool_hitting_identity(self, backend):
+        serial = sweep_hitting("plain", backend)
+        pooled = sweep_hitting("plain", backend, workers=2)
+        assert np.array_equal(serial.times, pooled.times)
+        assert np.array_equal(serial.final_distances, pooled.final_distances)
 
+    @needs_pool
     @pytest.mark.parametrize("kind", ["weighted", "lazy"])
-    def test_thread_pool_identity_other_operators(self, kind):
+    def test_process_pool_identity_other_operators(self, kind):
         serial = sweep_curves(kind, "streaming")
-        threaded = sweep_curves(kind, "streaming", workers=2, execution="threads")
-        assert np.array_equal(serial, threaded)
+        pooled = sweep_curves(kind, "streaming", workers=2)
+        assert np.array_equal(serial, pooled)
 
 
 # ----------------------------------------------------------------------

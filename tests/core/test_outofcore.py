@@ -3,10 +3,12 @@
 The contract pinned here is the strongest the repo makes: the striped
 transition matrix and the ``streaming`` backend must reproduce the
 scipy-constructed operator **bit for bit** — across laziness, stripe
-budgets, workers, execution modes, and checkpoint resume.  Tolerances
+budgets, workers, and checkpoint resume.  Tolerances
 would hide accumulation-order drift, so every comparison is
 ``np.array_equal``.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -144,16 +146,25 @@ class TestDescribeAndPublish:
 
 
 @needs_pool
-@pytest.mark.parametrize("execution", ["processes", "threads"])
-def test_parallel_sweep_bit_identical(mapped_pair, execution):
+@pytest.mark.parametrize("caller", ["processes", "threads"])
+def test_parallel_sweep_bit_identical(mapped_pair, caller):
+    # Both cases fan out on the process pool; "threads" starts the sweep
+    # from a caller thread, as the threaded HTTP service does.
     graph, mapped = mapped_pair
     sources = np.arange(0, graph.num_nodes, 2, dtype=np.int64)
     walks = [1, 2, 6]
     oracle = TransitionOperator(graph).variation_curves(sources, walks)
-    policy = ExecutionPolicy(
-        workers=2, execution=execution, backend="streaming", memory_budget=4096
-    )
-    got = TransitionOperator(mapped).variation_curves(sources, walks, policy=policy)
+    policy = ExecutionPolicy(workers=2, backend="streaming", memory_budget=4096)
+    op = TransitionOperator(mapped)
+    if caller == "threads":
+        callers = ThreadPoolExecutor(max_workers=1)
+        try:
+            future = callers.submit(op.variation_curves, sources, walks, policy=policy)
+            got = future.result(timeout=120)
+        finally:
+            callers.shutdown(wait=False)  # a deadlock fails, not hangs, the test
+    else:
+        got = op.variation_curves(sources, walks, policy=policy)
     assert np.array_equal(got, oracle)
 
 

@@ -60,7 +60,17 @@ class TestResolveWorkers:
     def test_all_cores(self):
         count = resolve_workers(-1)
         assert count >= 1
-        assert count == max(1, os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert count == len(os.sched_getaffinity(0))
+        else:
+            assert count == max(1, os.cpu_count() or 1)
+
+    def test_all_cores_honours_cpu_affinity(self, monkeypatch):
+        # Pinned to one CPU (``taskset -c 0``), -1 must not fork a
+        # worker per *installed* core onto it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(-1) == 1
 
     @pytest.mark.parametrize("bad", [-2, -17])
     def test_below_minus_one_raises(self, bad):
@@ -105,12 +115,6 @@ class TestFallbackRules:
         pooled = op.variation_curves([], [0, 1], policy=ExecutionPolicy(workers=4))
         assert serial.shape == pooled.shape == (0, 2)
         assert np.array_equal(serial, pooled)
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        assert not parallel_backend_available()
-        op = make_operator("plain")
-        assert self._call_curves(op, [0, 1, 2, 3], workers=4) is None
 
     def test_unknown_apply_block_falls_back(self):
         class Exotic(TransitionOperator):

@@ -40,7 +40,6 @@ class TestExecutionPolicy:
         assert p.shard_timeout is None
         assert p.checkpoint_dir is None
         assert p.resume is True
-        assert p.telemetry is False
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -365,7 +364,6 @@ class TestRunShardedSerial:
             workers=1,
             make_task=None,
             serial_run=_serial_rows,
-            use_pool=False,
         )
         np.testing.assert_array_equal(
             np.concatenate(out), _serial_rows(0, 11)
@@ -382,13 +380,13 @@ class TestRunShardedSerial:
 
         first = run_sharded(
             kind="unit", total=11, policy=policy, workers=1,
-            make_task=None, serial_run=counting, fingerprint=fp, use_pool=False,
+            make_task=None, serial_run=counting, fingerprint=fp,
         )
         assert calls  # computed something
         calls.clear()
         second = run_sharded(
             kind="unit", total=11, policy=policy, workers=1,
-            make_task=None, serial_run=counting, fingerprint=fp, use_pool=False,
+            make_task=None, serial_run=counting, fingerprint=fp,
         )
         assert calls == []  # fully resumed from disk
         np.testing.assert_array_equal(
@@ -400,7 +398,7 @@ class TestRunShardedSerial:
         fp = sweep_fingerprint("unit", 8)
         run_sharded(
             kind="unit", total=8, policy=policy, workers=1,
-            make_task=None, serial_run=_serial_rows, fingerprint=fp, use_pool=False,
+            make_task=None, serial_run=_serial_rows, fingerprint=fp,
         )
         calls = []
 
@@ -411,7 +409,7 @@ class TestRunShardedSerial:
         no_resume = ExecutionPolicy(checkpoint_dir=str(tmp_path), resume=False)
         run_sharded(
             kind="unit", total=8, policy=no_resume, workers=1,
-            make_task=None, serial_run=counting, fingerprint=fp, use_pool=False,
+            make_task=None, serial_run=counting, fingerprint=fp,
         )
         assert sum(hi - lo for lo, hi in calls) == 8  # everything recomputed
 
@@ -428,7 +426,7 @@ class TestRunShardedSerial:
 
         out = run_sharded(
             kind="unit", total=10, policy=policy, workers=1,
-            make_task=None, serial_run=counting, fingerprint=fp, use_pool=False,
+            make_task=None, serial_run=counting, fingerprint=fp,
         )
         assert all(lo >= 6 for lo, hi in calls)
         assert sum(hi - lo for lo, hi in calls) == 4
@@ -445,7 +443,6 @@ class TestRunShardedSerial:
             run_sharded(
                 kind="unit", total=6, policy=policy, workers=1,
                 make_task=None, serial_run=_serial_rows, fingerprint=fp,
-                use_pool=False,
             )
 
     def test_no_fingerprint_disables_checkpointing(self, tmp_path):
@@ -453,6 +450,5 @@ class TestRunShardedSerial:
         run_sharded(
             kind="unit", total=4, policy=policy, workers=1,
             make_task=None, serial_run=_serial_rows, fingerprint=None,
-            use_pool=False,
         )
         assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ their own suites; here the contract under test is the *sweep*:
 * every (strategy, size, budget, defense) cell reduces to the right
   admission counts, with the g=0 column equal to the no-attacker
   baseline;
-* worker count and execution mode never change a single bit of the
+* the worker count never changes a single bit of the
   result grid;
 * an interrupted checkpointed sweep resumes from disk, recomputing only
   the missing cells;
@@ -142,13 +142,9 @@ class TestDeterminism:
 
     def test_worker_count_never_changes_the_grid(self, honest):
         serial = tiny_sweep(honest)
-        threaded = tiny_sweep(
-            honest, policy=ExecutionPolicy(workers=2, execution="threads")
-        )
-        four = tiny_sweep(
-            honest, policy=ExecutionPolicy(workers=4, execution="threads")
-        )
-        assert np.array_equal(serial.counts, threaded.counts)
+        two = tiny_sweep(honest, policy=ExecutionPolicy(workers=2))
+        four = tiny_sweep(honest, policy=ExecutionPolicy(workers=4))
+        assert np.array_equal(serial.counts, two.counts)
         assert np.array_equal(serial.counts, four.counts)
 
     def test_checkpoint_resume_recomputes_only_missing_cells(self, honest, tmp_path):
@@ -187,7 +183,7 @@ class TestDeterminism:
 
     def test_resume_at_different_worker_count(self, honest, tmp_path):
         """The checkpoint fingerprint excludes execution knobs: a sweep
-        checkpointed serially resumes under a thread pool, bit-identical."""
+        checkpointed serially resumes at two workers, bit-identical."""
         ckpt = tmp_path / "ckpt"
         full = tiny_sweep(
             honest, policy=ExecutionPolicy(checkpoint_dir=str(ckpt))
@@ -196,9 +192,7 @@ class TestDeterminism:
             shard.unlink()
         resumed = tiny_sweep(
             honest,
-            policy=ExecutionPolicy(
-                workers=2, execution="threads", checkpoint_dir=str(ckpt)
-            ),
+            policy=ExecutionPolicy(workers=2, checkpoint_dir=str(ckpt)),
         )
         assert np.array_equal(full.counts, resumed.counts)
 

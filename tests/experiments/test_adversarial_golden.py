@@ -4,7 +4,7 @@
 grid of a tiny fixed-seed sweep (two strategies x three budgets x all
 six defenses).  The suite re-runs that sweep
 
-* serially and under a 2-worker thread pool — both must reproduce the
+* serially and at 2 workers — both must reproduce the
   pinned counts bit-for-bit, and
 * under every registered SpMM backend — float64 backends bit-identical,
   float32 backends within the pinned count envelope (reduced precision
@@ -79,9 +79,7 @@ def test_serial_matches_golden(golden, pinned_counts):
 
 
 def test_two_workers_match_golden(golden, pinned_counts):
-    result = run_pinned_sweep(
-        golden, policy=ExecutionPolicy(workers=2, execution="threads")
-    )
+    result = run_pinned_sweep(golden, policy=ExecutionPolicy(workers=2))
     assert np.array_equal(result.counts, pinned_counts)
 
 

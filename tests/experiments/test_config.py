@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.runtime import ExecutionPolicy
+from repro.core.runtime import DEFAULT_POLICY, ExecutionPolicy
 from repro.errors import ConfigurationError
 from repro.experiments import FAST, FULL, ExperimentConfig
 
@@ -57,14 +57,11 @@ class TestConfigPolicy:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(mode="fast", policy=ExecutionPolicy(workers=-3))
 
-    def test_telemetry_propagates_into_policy(self):
-        config = ExperimentConfig(
-            mode="fast", telemetry=True, policy=ExecutionPolicy(workers=2)
-        )
-        policy = config.execution_policy
-        assert policy.telemetry is True
-        assert policy.workers == 2
+    def test_telemetry_leaves_policy_verbatim(self):
+        policy = ExecutionPolicy(workers=2)
+        config = ExperimentConfig(mode="fast", telemetry=True, policy=policy)
+        assert config.execution_policy is policy
 
-    def test_telemetry_propagates_without_policy(self):
+    def test_no_policy_means_default_policy(self):
         config = ExperimentConfig(mode="fast", telemetry=True)
-        assert config.execution_policy.telemetry is True
+        assert config.execution_policy is DEFAULT_POLICY

@@ -19,7 +19,7 @@ _NAME = "temporal_mathoverflow"
 
 
 def _config(workers=None) -> ExperimentConfig:
-    policy = None if workers is None else ExecutionPolicy(workers=workers, execution="threads")
+    policy = None if workers is None else ExecutionPolicy(workers=workers)
     return ExperimentConfig(mode="fast", policy=policy)
 
 

@@ -302,13 +302,14 @@ def test_backend_counters_recorded(obs, er_medium):
     assert not any(name.startswith("core.backend.") for name in plain)
 
 
-def test_thread_execution_bit_identical_and_counted(obs):
-    """Threaded fan-out is telemetry-inert, and its enabled arm records
-    the ``runtime.thread_*`` counters."""
+@needs_pool
+def test_pool_execution_bit_identical_and_counted(obs):
+    """Pooled fan-out is telemetry-inert, and its enabled arm records one
+    publication and the shards it ran."""
     def run():
         op = make_operator("plain")
         sources = np.arange(op.num_states, dtype=np.int64)
-        policy = ExecutionPolicy(workers=2, execution="threads", block_size=4)
+        policy = ExecutionPolicy(workers=2, block_size=4)
         return op.variation_curves(sources, [1, 3, 6], policy=policy)
 
     off = _with_flag(obs, False, run)
@@ -318,11 +319,11 @@ def test_thread_execution_bit_identical_and_counted(obs):
     obs.reset()
     obs.enable()
     run()
-    snap = obs.snapshot()["counters"]
+    snap = obs.snapshot()
     obs.disable()
     obs.reset()
-    assert snap["runtime.thread_sweeps"] >= 1
-    assert snap["runtime.thread_shards"] >= 2
+    assert snap["counters"]["parallel.publishes"] == 1
+    assert snap["histograms"]["parallel.shard_rows"]["count"] >= 2
 
 
 def test_nonbacktracking_bit_identical_and_counted(obs, petersen):

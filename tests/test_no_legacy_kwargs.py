@@ -2,11 +2,12 @@
 
 ``policy=ExecutionPolicy(...)`` is the only way to set execution knobs:
 the deprecated ``workers=``/``block_size=`` keyword aliases, the
-``ExperimentConfig.workers``/``evolution_block_size`` mirror fields and
-the ``tiled`` SpMM backend are gone, and passing any of them fails
-loudly.  The remaining tests run representative slices of every layer
-with ``DeprecationWarning`` escalated to an error, so no path through
-the package warns.
+``ExperimentConfig.workers``/``evolution_block_size`` mirror fields,
+the ``tiled`` SpMM backend and the ``ExecutionPolicy.execution`` /
+``telemetry`` fields are gone, and passing any of them fails loudly.
+The remaining tests run representative slices of every layer with
+``DeprecationWarning`` escalated to an error, so no path through the
+package warns.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class TestInternalPathsAreWarningFree:
 
     def test_core_sweeps(self, forbid_deprecation_warnings):
         graph = _test_graph()
-        for policy in (None, ExecutionPolicy(workers=2, execution="threads")):
+        for policy in (None, ExecutionPolicy(workers=2)):
             measure_mixing(graph, [1, 3, 5], sources=[0, 4], policy=policy)
             estimate_mixing_time(graph, 0.25, sources=[0], policy=policy)
 
@@ -210,6 +211,11 @@ class TestAliasesAreGone:
     def test_experiment_config_mirror_fields_removed(self, field):
         with pytest.raises(TypeError, match=field):
             ExperimentConfig(**{field: 2})
+
+    @pytest.mark.parametrize("field,value", [("execution", "threads"), ("telemetry", True)])
+    def test_execution_policy_removed_fields(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            ExecutionPolicy(**{field: value})
 
     def test_tiled_backend_unknown(self):
         with pytest.raises(ConfigurationError) as excinfo:

@@ -115,9 +115,7 @@ class TestPolicySurface:
         "shard_timeout",
         "checkpoint_dir",
         "resume",
-        "telemetry",
         "backend",
-        "execution",
         "memory_budget",
     )
 
@@ -135,9 +133,8 @@ class TestPolicySurface:
         assert p.shard_timeout is None
         assert p.checkpoint_dir is None
         assert p.resume is True
-        assert p.telemetry is False
         assert p.backend == "numpy"
-        assert p.execution == "processes"
+        assert p.memory_budget is None
 
     def test_frozen(self):
         with pytest.raises(Exception):
