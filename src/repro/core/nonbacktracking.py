@@ -259,7 +259,7 @@ def non_backtracking_hitting_times(
     that are close to pure cycles, where the non-backtracking chain is
     (nearly) periodic — get time ``-1``.
     """
-    _check_hitting(epsilon, max_steps)
+    max_steps = _check_hitting(epsilon, max_steps)
     return _node_space_sweep(
         graph, sources, reference, operator, policy,
         epsilon=epsilon, max_steps=max_steps,

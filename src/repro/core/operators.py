@@ -396,8 +396,7 @@ class MarkovOperator(ABC):
         distribution to measure against (the originator-biased study
         measures biased walks against the *plain* pi, for example).
         """
-        if max_steps < 0:
-            raise ValueError("max_steps must be nonnegative")
+        max_steps = _check_steps(max_steps)
         return self.variation_curves(
             [source], np.arange(max_steps + 1), reference=reference, policy=policy
         )[0]
@@ -463,7 +462,7 @@ class MarkovOperator(ABC):
         then runs independently inside every worker, and the reassembled
         result is bit-for-bit equal to the serial one.
         """
-        _check_hitting(epsilon, max_steps)
+        max_steps = _check_hitting(epsilon, max_steps)
         policy = as_policy(policy)
         src = np.asarray(sources, dtype=np.int64).ravel()
         ref = self._reference(reference)
@@ -545,7 +544,7 @@ class MarkovOperator(ABC):
         block).  Rows that never converge within ``max_steps`` get time
         ``-1``.
         """
-        _check_hitting(epsilon, max_steps)
+        max_steps = _check_hitting(epsilon, max_steps)
         return self._distribution_sweep(
             block, reference, policy, epsilon=epsilon, max_steps=max_steps
         )
@@ -569,7 +568,10 @@ class MarkovOperator(ABC):
 # ----------------------------------------------------------------------
 def _check_walk_lengths(walk_lengths: Sequence[int]) -> np.ndarray:
     """Checkpoint walk lengths as a strictly increasing int64 array."""
-    lengths = np.asarray(walk_lengths, dtype=np.int64).ravel()
+    raw = np.asarray(walk_lengths).ravel()
+    lengths = raw.astype(np.int64)
+    if not np.array_equal(lengths, raw):
+        raise ValueError(f"walk_lengths must be integers, got {walk_lengths!r}")
     if lengths.size == 0:
         raise ValueError("walk_lengths must be non-empty")
     if np.any(lengths < 0) or np.any(np.diff(lengths) <= 0):
@@ -577,16 +579,73 @@ def _check_walk_lengths(walk_lengths: Sequence[int]) -> np.ndarray:
     return lengths
 
 
-def _check_hitting(epsilon: float, max_steps: int) -> None:
+def _check_steps(max_steps: int) -> int:
+    """``max_steps`` as an ``int``; fractions and negatives raise."""
+    steps = int(max_steps)
+    if steps != max_steps:
+        raise ValueError(f"max_steps must be an integer, got {max_steps!r}")
+    if steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+    return steps
+
+
+def _check_hitting(epsilon: float, max_steps: int) -> int:
+    """Validate an ε-hitting request; returns ``max_steps`` as an ``int``."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
+    return _check_steps(max_steps)
 
 
 def _rowless(apply_step: Callable[[np.ndarray], np.ndarray]) -> SweepStep:
     """Adapt a plain block kernel to the core's ``step(x, rows)`` form."""
     return lambda x, _rows: apply_step(x)
+
+
+#: Steps between certified TVD checks on the ε-hitting path; see
+#: :func:`_replay_threshold`.  K = 2, 4 and 8 measured 119.7, 114.4 and
+#: 115.5 ms per pooled 64-source slashdot1 call (EXPERIMENTS.md, "Where
+#: ε-hitting time goes"); re-pick only on measurement.
+_CHECK_EVERY: int = 4
+
+
+def _gamma(terms: int, unit: float) -> float:
+    """Higham's ``γ_m = m·u / (1 − m·u)``, or ``inf`` once ``m·u ≥ 1``."""
+    mu = terms * unit
+    return mu / (1.0 - mu) if mu < 1.0 else float("inf")
+
+
+def _replay_threshold(
+    step: SweepStep,
+    reference: np.ndarray,
+    epsilon: float,
+    every: int,
+    backend: str,
+) -> Optional[float]:
+    """Distance below which a row must be replayed at an ``every``-step check.
+
+    A computed distance at or above the returned value certifies that
+    the per-step loop would not have retired the row at any of the
+    ``every`` steps since the last check; ``None`` means the bound is
+    too loose to help (``every`` times the per-step slack reaches
+    ``epsilon``) and the caller checks every step.  The slack is the
+    reference's own drift ``TVD(step(r), r)``, measured with the sweep's
+    kernel, plus rounding bounds for the step (in the backend's
+    precision) and the TVD reduction.  DESIGN.md §5 derives it.
+    """
+    from .backends import backend_numeric
+
+    n = reference.shape[0]
+    h = _gamma(n + 8, np.finfo(np.float64).eps / 2)
+    g = _gamma(n + 8, np.finfo(np.dtype(backend_numeric(backend))).eps / 2)
+    if not h < 0.005:
+        return None
+    probe = step(reference[np.newaxis, :], np.zeros(1, dtype=np.int64))
+    drift = float(total_variation_to_reference(probe, reference, validate=False)[0])
+    mass = float(np.abs(reference).sum()) / (1.0 - h)
+    slack = drift / (1.0 - h) + g * (mass + 7.0)
+    if not every * slack < epsilon:
+        return None
+    return (1.0 + h) * (epsilon / (1.0 - h) + every * slack)
 
 
 def _sweep(
@@ -617,7 +676,12 @@ def _sweep(
     * ``epsilon``: a row retires once its distance drops below
       ``epsilon``, shrinking the stepped block; returns
       :class:`HittingTimes`, with ``-1`` for rows still above
-      ``epsilon`` after ``max_steps`` steps.
+      ``epsilon`` after ``max_steps`` steps.  Without ``measure`` the
+      distance is checked every :data:`_CHECK_EVERY` steps only; rows
+      that may have crossed ``epsilon`` since the last check (their
+      distance is below :func:`_replay_threshold`) are replayed from
+      that check's block, with a check at every step, so each row still
+      retires at its exact first step below ``epsilon``.
 
     Rows are independent chains, so results do not depend on the chunk
     size.
@@ -631,29 +695,27 @@ def _sweep(
             span.set(chunk_rows=int(chunk_rows), path="serial")
         OBS.add("core.evolution.rows", num_rows)
         OBS.observe("core.evolution.chunk_rows", min(chunk_rows, num_rows))
-    if checkpoints is None:
-        last = max_steps
-        times = np.full(num_rows, -1, dtype=np.int64)
-        final = np.empty(num_rows, dtype=np.float64)
-    else:
-        last = int(checkpoints[-1])
+
+    def tvd(x: np.ndarray) -> np.ndarray:
+        return total_variation_to_reference(
+            x if measure is None else measure(x), reference, validate=False
+        )
+
+    if checkpoints is not None:
         out = np.empty((num_rows, checkpoints.size), dtype=np.float64)
-    for lo in range(0, num_rows, chunk_rows):
-        hi = min(lo + chunk_rows, num_rows)
-        x = start(lo, hi)
-        rows = np.arange(lo, hi, dtype=np.int64)
-        col = 0
-        for t in range(last + 1):
-            if t:
-                x = step(x, rows)
-                if telemetry:
-                    OBS.add("core.evolution.steps", rows.size)
-            if checkpoints is not None and checkpoints[col] != t:
-                continue
-            dist = total_variation_to_reference(
-                x if measure is None else measure(x), reference, validate=False
-            )
-            if checkpoints is not None:
+        for lo in range(0, num_rows, chunk_rows):
+            hi = min(lo + chunk_rows, num_rows)
+            x = start(lo, hi)
+            rows = np.arange(lo, hi, dtype=np.int64)
+            col = 0
+            for t in range(int(checkpoints[-1]) + 1):
+                if t:
+                    x = step(x, rows)
+                    if telemetry:
+                        OBS.add("core.evolution.steps", rows.size)
+                if checkpoints[col] != t:
+                    continue
+                dist = tvd(x)
                 out[lo:hi, col] = dist
                 col += 1
                 if telemetry:
@@ -661,23 +723,77 @@ def _sweep(
                         "tvd_checkpoint", step=t, chunk_lo=int(lo), rows=int(hi - lo),
                         mean_tvd=float(dist.mean()), max_tvd=float(dist.max()),
                     )
-                continue
+        return out
+
+    last = max_steps
+    times = np.full(num_rows, -1, dtype=np.int64)
+    final = np.empty(num_rows, dtype=np.float64)
+    replay_below = None
+    if measure is None and last > 1 and _CHECK_EVERY > 1:
+        replay_below = _replay_threshold(
+            step, reference, epsilon, _CHECK_EVERY, policy.backend
+        )
+    every = 1 if replay_below is None else _CHECK_EVERY
+
+    def retire(pos: np.ndarray, when: int, dist: np.ndarray) -> None:
+        """Record the chunk's rows at block positions ``pos`` as hitting
+        at step ``when`` with distances ``dist``."""
+        times[rows[pos]] = when
+        final[rows[pos]] = dist
+        done[pos] = True
+        if telemetry and when:
+            OBS.event(
+                "rows_retired", step=when, chunk_lo=int(lo), retired=int(pos.size),
+                still_active=int(rows.size - done.sum()),
+            )
+
+    for lo in range(0, num_rows, chunk_rows):
+        hi = min(lo + chunk_rows, num_rows)
+        x = start(lo, hi)
+        rows = np.arange(lo, hi, dtype=np.int64)
+        t = 0
+        dist = tvd(x)
+        final[rows] = dist
+        done = np.zeros(rows.size, dtype=bool)
+        hit = np.flatnonzero(dist < epsilon)
+        retire(hit, 0, dist[hit])
+        while True:
+            if done.any():  # compact only at checks
+                x = x[~done]
+                rows = rows[~done]
+            if rows.size == 0 or t == last:
+                break
+            seg = min(every, last - t)
+            snapshot = x
+            for _ in range(seg):
+                x = step(x, rows)
+            if telemetry:
+                OBS.add("core.evolution.steps", seg * rows.size)
+            t += seg
+            dist = tvd(x)
             final[rows] = dist
-            hit = dist < epsilon
-            if np.any(hit):
-                if telemetry and t:
-                    OBS.event(
-                        "rows_retired", step=t, chunk_lo=int(lo), retired=int(hit.sum()),
-                        still_active=int(rows.size - hit.sum()),
-                    )
-                times[rows[hit]] = t
-                x = x[~hit]
-                rows = rows[~hit]
-                if rows.size == 0:
-                    break
-        if telemetry and checkpoints is None:
+            done = np.zeros(rows.size, dtype=bool)
+            if seg > 1:
+                # Replay the rows that may have crossed since the last
+                # check, one step and one TVD at a time.
+                live = np.flatnonzero(dist < replay_below)
+                y = snapshot[live]
+                for when in range(t - seg + 1, t):
+                    if live.size == 0:
+                        break
+                    y = step(y, rows[live])
+                    if telemetry:
+                        OBS.add("core.evolution.steps", live.size)
+                    near = tvd(y)
+                    hit = near < epsilon
+                    if hit.any():
+                        retire(live[hit], when, near[hit])
+                        y = y[~hit]
+                        live = live[~hit]
+            hit = np.flatnonzero((dist < epsilon) & ~done)
+            if hit.size:
+                retire(hit, t, dist[hit])
+        if telemetry:
             OBS.observe("core.hitting.steps_per_chunk", t)
             OBS.add("core.hitting.unconverged_rows", int(rows.size))
-    if checkpoints is None:
-        return HittingTimes(times=times, final_distances=final)
-    return out
+    return HittingTimes(times=times, final_distances=final)

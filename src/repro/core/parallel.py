@@ -63,7 +63,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..obs import OBS
-from .operators import HittingTimes, MarkovOperator
+from .operators import HittingTimes, MarkovOperator, policy_block_bytes, resolve_block_size
 from .runtime import DEFAULT_POLICY, ExecutionPolicy, run_sharded, sweep_fingerprint
 
 __all__ = [
@@ -670,6 +670,8 @@ class _Sweep(NamedTuple):
     fingerprint: Optional[Callable[[], str]] = None
     #: Axis along which shard results are concatenated.
     axis: int = 0
+    #: Rows per evolution chunk inside a shard; ``None``: no floor.
+    chunk_rows: Optional[int] = None
 
 
 def _fan_out(sweep: _Sweep, policy: ExecutionPolicy):
@@ -680,25 +682,37 @@ def _fan_out(sweep: _Sweep, policy: ExecutionPolicy):
     ``policy.checkpoint_dir`` set (and a fingerprint) it runs — serially
     if need be — through the checkpointing executor.  Shard results are
     concatenated along ``sweep.axis`` (tuple results column by column).
+
+    A pooled sweep gets :data:`_OVERSHARD` shards per worker, but one
+    with ``sweep.chunk_rows`` and no checkpoint never cuts a shard
+    narrower than one evolution chunk while the workers stay busy:
+    ``min(workers·_OVERSHARD, max(workers, ⌈total / chunk_rows⌉))``
+    shards.  Narrower shards step a thinner block at a higher cost per
+    row.  Checkpointed sweeps keep the finer cut, as there the shard is
+    the unit of resume.
     """
     count = min(resolve_workers(policy.workers), sweep.total)
     use_pool = count > 1 and parallel_backend_available()
     checkpointed = policy.checkpoint_dir is not None and sweep.fingerprint is not None
     if sweep.total == 0 or not (use_pool or checkpointed):
         return None
+    workers = count if use_pool else 1
+    shards = workers * _OVERSHARD
+    if sweep.chunk_rows is not None and not checkpointed:
+        shards = min(shards, max(workers, -(-sweep.total // sweep.chunk_rows)))
     span = OBS.current_span() if use_pool and OBS.enabled else None
     if span is not None:  # tag the enclosing operator span
-        span.set(path="parallel", workers=count, shards=min(sweep.total, count * _OVERSHARD))
+        span.set(path="parallel", workers=count, shards=min(sweep.total, shards))
     with (sweep.publish() if use_pool else nullcontext()) as handle:
         parts = run_sharded(
             kind=sweep.kind,
             total=sweep.total,
             policy=policy,
-            workers=count if use_pool else 1,
+            workers=workers,
             make_task=lambda lo, hi: (handle.payload, sweep.run, sweep.args(lo, hi)),
             serial_run=lambda lo, hi: sweep.run(sweep.state, *sweep.args(lo, hi)),
             fingerprint=sweep.fingerprint() if checkpointed else None,
-            overshard=_OVERSHARD,
+            shards=shards,
         )
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(column, axis=sweep.axis) for column in zip(*parts))
@@ -771,6 +785,11 @@ def _operator_sweep(kind, operator, rows, reference, policy, run, args, fingerpr
             publish=lambda: publish_operator(op_kind, matrix, reference, **extras),
             fingerprint=(
                 None if fingerprint is None else lambda: fingerprint(op_kind, matrix, extras)
+            ),
+            chunk_rows=resolve_block_size(
+                operator.num_states,
+                policy.block_size,
+                memory_budget_bytes=policy_block_bytes(policy),
             ),
         ),
         policy,

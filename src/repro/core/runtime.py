@@ -625,7 +625,7 @@ def run_sharded(
     make_task: Optional[Callable[[int, int], tuple]],
     serial_run: Callable[[int, int], Any],
     fingerprint: Optional[str] = None,
-    overshard: int = 4,
+    shards: int = 4,
 ) -> List[Any]:
     """Execute a sweep over ``total`` independent rows, fault-tolerantly.
 
@@ -646,7 +646,8 @@ def run_sharded(
     via ``serial_run`` in-process.  ``fingerprint`` (with
     ``policy.checkpoint_dir``) enables checkpoint/resume: completed
     shards persist as they arrive and already-persisted row ranges are
-    never recomputed.
+    never recomputed.  ``shards`` is the target shard count; shards are
+    contiguous and of even width.
     """
     store: Optional[CheckpointStore] = None
     results: Dict[Tuple[int, int], Any] = {}
@@ -673,7 +674,7 @@ def run_sharded(
                 OBS.add("runtime.checkpoint.saved_shards")
                 OBS.add("runtime.checkpoint.bytes_written", written)
 
-    target = min(total, max(1, workers) * max(1, overshard))
+    target = min(total, max(1, shards))
     pending = _split_ranges(_missing_ranges(total, list(results)), total, target)
     if pending:
         if OBS.enabled:

@@ -428,7 +428,7 @@ def adversarial_sweep(
             make_task=None,
             serial_run=_serial_run,
             fingerprint=fingerprint,
-            overshard=len(cells),
+            shards=len(cells),
         )
     flat = np.concatenate(shards, axis=0)
     counts = flat.reshape(

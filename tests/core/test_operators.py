@@ -13,6 +13,7 @@ Two families:
   ``stationary()``, and one evolution code path.
 """
 
+import collections
 import functools
 
 import numpy as np
@@ -34,10 +35,12 @@ from repro.core import (
     total_variation_distance,
     total_variation_to_reference,
 )
+from repro.core import operators
 from repro.core.operators import HittingTimes
 from repro.errors import ConvergenceError
 from repro.generators import erdos_renyi_gnm, two_community_bridge
-from repro.graph import DiGraph, largest_connected_component
+from repro.graph import DiGraph, Graph, largest_connected_component
+from repro.obs import OBS
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +332,213 @@ class TestHittingTimes:
             mixing_time_from_source(op, 0, 1e-5, max_steps=3)
         assert err.value.partial is not None
         assert err.value.partial >= 1e-5
+
+    def test_non_integral_max_steps_rejected(self):
+        op = make_operator("plain")
+        with pytest.raises(ValueError, match="integer"):
+            op.hitting_times([0], 0.1, max_steps=2.5)
+        with pytest.raises(ValueError, match="integer"):
+            op.distribution_hitting_times(op.point_mass_block([0]), 0.1, max_steps=2.5)
+
+    def test_integral_max_steps_accepted(self):
+        op = make_operator("plain")
+        base = op.hitting_times([0, 4], 0.1, max_steps=30)
+        for steps in (np.int64(30), 30.0):
+            got = op.hitting_times([0, 4], 0.1, max_steps=steps)
+            assert np.array_equal(got.times, base.times)
+            assert np.array_equal(got.final_distances, base.final_distances)
+
+
+class TestWalkLengthValidation:
+    @pytest.mark.parametrize("lengths", [[1.5, 2.7], [0.2, 0.9], [0, 1, 2.5]])
+    def test_non_integral_walk_lengths_rejected(self, lengths):
+        op = make_operator("plain")
+        with pytest.raises(ValueError, match="integers"):
+            op.variation_curves([0], lengths)
+        with pytest.raises(ValueError, match="integers"):
+            op.distribution_variation_curves(op.point_mass_block([0]), lengths)
+
+    def test_non_integral_curve_length_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            make_operator("plain").variation_curve(0, 2.5)
+
+    def test_integral_walk_lengths_accepted(self):
+        op = make_operator("plain")
+        base = op.variation_curves([0, 3], [1, 2, 5])
+        for lengths in (np.array([1, 2, 5], dtype=np.int32), [1.0, 2.0, 5.0]):
+            assert np.array_equal(op.variation_curves([0, 3], lengths), base)
+
+
+# ----------------------------------------------------------------------
+# Certified K-step checks on the ε-hitting path
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _bipartite_operator():
+    """Non-lazy walk on a bipartite graph: periodic, never mixes."""
+    n = 24
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, (i + 5) % n) for i in range(0, n, 2)]
+    return TransitionOperator(Graph.from_edges(edges, num_nodes=n), check_aperiodic=False)
+
+
+def _near_stationary(op):
+    """A caller reference a little off ``pi``: the checks still apply."""
+    rng = np.random.default_rng(11)
+    ref = op.stationary() * (1.0 + 1e-4 * rng.random(op.num_states))
+    return ref / ref.sum()
+
+
+def _far_reference(op):
+    """A point-mass reference: its drift forces a check at every step."""
+    return op.point_mass(0)
+
+
+def _with_pi_rows(op, sources):
+    """Start rows whose first row is ``pi`` itself (below ε at t=0)."""
+    return np.vstack([op.stationary(), op.point_mass_block(sources)])
+
+
+#: name -> (operator factory, run(op, sources, epsilon, max_steps)).
+_CHECK_SCENARIOS = {
+    **{
+        kind: (functools.partial(make_operator, kind), None)
+        for kind in ALL_KINDS
+    },
+    "bipartite": (_bipartite_operator, None),
+    "pi-start": (
+        functools.partial(make_operator, "plain"),
+        lambda op, src, eps, steps: op.distribution_hitting_times(
+            _with_pi_rows(op, src), eps, max_steps=steps
+        ),
+    ),
+    "near-reference": (
+        functools.partial(make_operator, "lazy"),
+        lambda op, src, eps, steps: op.hitting_times(
+            src, eps, max_steps=steps, reference=_near_stationary(op)
+        ),
+    ),
+    "far-reference": (
+        functools.partial(make_operator, "plain"),
+        lambda op, src, eps, steps: op.hitting_times(
+            src, eps, max_steps=steps, reference=_far_reference(op)
+        ),
+    ),
+    **{
+        backend: (
+            functools.partial(make_operator, "weighted"),
+            lambda op, src, eps, steps, backend=backend: op.hitting_times(
+                src, eps, max_steps=steps,
+                policy=ExecutionPolicy(backend=backend, memory_budget=4096),
+            ),
+        )
+        for backend in ("float32", "streaming")
+    },
+}
+
+
+def _hitting_with_check_every(every, run, op, sources, epsilon, max_steps):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_CHECK_EVERY", every)
+        if run is None:
+            return op.hitting_times(sources, epsilon, max_steps=max_steps)
+        return run(op, sources, epsilon, max_steps)
+
+
+class TestCertifiedChecks:
+    """Checking the distance every K steps (and replaying the rows that
+    may have crossed) is a pure speed transform: any K gives the per-step
+    loop's ``HittingTimes``, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_check_interval_never_changes_hitting_times(self, data):
+        name = data.draw(st.sampled_from(sorted(_CHECK_SCENARIOS)), label="scenario")
+        make, run = _CHECK_SCENARIOS[name]
+        op = make()
+        sources = data.draw(
+            st.lists(st.integers(0, op.num_states - 1), min_size=1, max_size=9),
+            label="sources",
+        )
+        epsilon = data.draw(
+            st.sampled_from([0.02, 0.1, 0.25, 0.55]) | st.floats(0.01, 0.9),
+            label="epsilon",
+        )
+        max_steps = data.draw(
+            st.sampled_from([0, 1, 2, 3, 5, 9, 13, 200]) | st.integers(0, 60),
+            label="max_steps",
+        )
+        every = data.draw(st.integers(1, 8), label="K")
+        want = _hitting_with_check_every(1, run, op, sources, epsilon, max_steps)
+        got = _hitting_with_check_every(every, run, op, sources, epsilon, max_steps)
+        assert np.array_equal(got.times, want.times), name
+        assert np.array_equal(got.final_distances, want.final_distances), name
+
+    def test_pi_row_retires_at_step_zero(self):
+        op = make_operator("plain")
+        got = op.distribution_hitting_times(_with_pi_rows(op, [0, 5]), 0.1, max_steps=50)
+        assert got.times[0] == 0
+        assert np.all(got.times[1:] > 0)
+
+    def test_threshold_for_stationary_reference_is_tight(self):
+        op = make_operator("plain")
+        step = operators._rowless(op._apply_block)
+        threshold = operators._replay_threshold(step, op.stationary(), 0.1, 4, "numpy")
+        assert 0.1 < threshold < 0.1 + 1e-9
+
+    def test_float32_threshold_is_wider(self):
+        op = make_operator("plain")
+        step = operators._rowless(op._apply_block)
+        wide = operators._replay_threshold(step, op.stationary(), 0.1, 4, "float32")
+        tight = operators._replay_threshold(step, op.stationary(), 0.1, 4, "numpy")
+        assert tight < wide < 0.11
+
+    def test_far_reference_checks_every_step(self):
+        op = make_operator("plain")
+        step = operators._rowless(op._apply_block)
+        assert operators._replay_threshold(step, _far_reference(op), 0.1, 4, "numpy") is None
+
+    def test_retirement_events_carry_true_hitting_steps(self):
+        op = make_operator("plain")
+        was_enabled = OBS.enabled
+        OBS.reset()
+        OBS.enable()
+        try:
+            with OBS.span("probe") as span:
+                got = op.distribution_hitting_times(
+                    op.point_mass_block(np.arange(30)), 0.05, max_steps=200
+                )
+        finally:
+            OBS.disable()
+            OBS.reset()
+            OBS.enabled = was_enabled
+        retired = collections.Counter()
+        for event in span.events:
+            if event["name"] == "rows_retired":
+                retired[event["step"]] += event["retired"]
+        assert any(t % operators._CHECK_EVERY for t in got.times)
+        assert retired == collections.Counter(int(t) for t in got.times if t > 0)
+
+    def test_checks_cut_distance_reductions(self, monkeypatch):
+        """On walks of a few dozen steps the default interval reduces less
+        than half the TVD rows a check at every step does."""
+        op = make_operator("plain")
+        sources = np.arange(op.num_states)
+        counts = {}
+        reduce = operators.total_variation_to_reference
+
+        def counting(block, reference, **kwargs):
+            counts["rows"] = counts.get("rows", 0) + block.shape[0]
+            return reduce(block, reference, **kwargs)
+
+        monkeypatch.setattr(operators, "total_variation_to_reference", counting)
+        seen = []
+        for every in (1, operators._CHECK_EVERY):
+            counts.clear()
+            monkeypatch.setattr(operators, "_CHECK_EVERY", every)
+            seen.append((op.hitting_times(sources, 1e-3, max_steps=500), counts["rows"]))
+        (want, per_step), (got, checked) = seen
+        assert np.array_equal(got.times, want.times)
+        assert 2 * checked < per_step
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ from repro.core.parallel import (
     publish_operator,
 )
 from repro.core.runtime import ExecutionPolicy
+from repro.obs import OBS
 from tests.core.test_operators import ALL_KINDS, _er_graph, make_operator
 
 needs_pool = pytest.mark.skipif(
@@ -238,7 +239,8 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("count", [2, 3, 16, "n"])
     def test_ragged_source_counts(self, count):
         """Shard counts that do not divide evenly (including every node
-        and more sources than workers*overshard) stay bit-identical."""
+        and more sources than workers*overshard) stay bit-identical.
+        Two-row chunks keep the shard floor from merging the shards."""
         op = make_operator("plain")
         n = op.num_states
         if count == "n":
@@ -247,7 +249,9 @@ class TestSerialParallelEquivalence:
             sources = np.arange(count) % n
         walks = [0, 1, 4]
         serial = op.variation_curves(sources, walks)
-        parallel = op.variation_curves(sources, walks, policy=ExecutionPolicy(workers=3))
+        parallel = op.variation_curves(
+            sources, walks, policy=ExecutionPolicy(workers=3, block_size=2)
+        )
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -296,6 +300,58 @@ class TestSerialParallelEquivalence:
 # ----------------------------------------------------------------------
 # End-to-end through the measurement layer
 # ----------------------------------------------------------------------
+@needs_pool
+class TestShardFloor:
+    """A pooled sweep never cuts a shard narrower than one evolution
+    chunk; a checkpointed one keeps four shards per worker."""
+
+    def _shard_count(self, run):
+        was_enabled = OBS.enabled
+        OBS.reset()
+        OBS.enable()
+        try:
+            result = run()
+            histograms = OBS.snapshot()["histograms"]
+        finally:
+            OBS.disable()
+            OBS.reset()
+            OBS.enabled = was_enabled
+        return result, histograms["parallel.shard_rows"]["count"]
+
+    def test_shards_hold_at_least_one_chunk(self, tmp_path):
+        op = make_operator("plain")
+        sources = np.arange(16)
+        serial = op.hitting_times(sources, 0.1, max_steps=200)
+        pooled, shards = self._shard_count(
+            lambda: op.hitting_times(
+                sources, 0.1, max_steps=200,
+                policy=ExecutionPolicy(workers=2, block_size=4),
+            )
+        )
+        assert shards == 4  # 16 rows / 4-row chunks, not 2 workers x 4
+        ckpt = tmp_path / "ckpt"
+        checkpointed = op.hitting_times(
+            sources, 0.1, max_steps=200,
+            policy=ExecutionPolicy(workers=2, block_size=4, checkpoint_dir=str(ckpt)),
+        )
+        assert len(list(ckpt.glob("*/shard-*.npz"))) == 8
+        for got in (pooled, checkpointed):
+            assert np.array_equal(got.times, serial.times)
+            assert np.array_equal(got.final_distances, serial.final_distances)
+
+    def test_wide_sweeps_keep_four_shards_per_worker(self):
+        op = make_operator("plain")
+        sources = np.arange(64) % op.num_states
+        serial = op.variation_curves(sources, [1, 4])
+        pooled, shards = self._shard_count(
+            lambda: op.variation_curves(
+                sources, [1, 4], policy=ExecutionPolicy(workers=2, block_size=4)
+            )
+        )
+        assert shards == 8
+        assert np.array_equal(pooled, serial)
+
+
 @needs_pool
 class TestMeasurementLayer:
     def test_measure_mixing_workers(self):
