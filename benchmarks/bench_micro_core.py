@@ -19,16 +19,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    FLOAT32_CURVE_ATOL,
     ExecutionPolicy,
     TransitionOperator,
-    available_backends,
-    backend_numeric,
     slem,
     total_variation_distance,
 )
 from repro.datasets import load_cached
-from repro.graph import Graph
+from repro.graph import Graph, open_csr, save_csr
 from repro.sampling import bfs_sample
 from repro.sybil import RouteInstances
 
@@ -131,28 +128,31 @@ def test_micro_batched_evolution_speedup(medium_graph):
     assert speedup >= 3.0, f"block API only {speedup:.1f}x faster than loop"
 
 
-@pytest.mark.parametrize("backend", sorted(available_backends()))
-def test_micro_backend_evolution(benchmark, medium_graph, backend):
-    """The batched-evolution hot path under each SpMM backend, with
-    identity asserted on the timed output: float64 backends must be
-    bit-for-bit the numpy result, float32 inside its pinned envelope.
-    Comparing this bench's per-backend timings is the seam's scoreboard.
+@pytest.mark.parametrize("kernel", ["numpy", "streaming"])
+def test_micro_backend_evolution(benchmark, medium_graph, kernel, tmp_path):
+    """The batched-evolution hot path per SpMM kernel, with identity
+    asserted on the timed output.  The operand picks the kernel:
+    ``numpy`` is the in-memory graph (scipy ``block @ csr``),
+    ``streaming`` the same graph opened memory-mapped under a 4 MiB
+    budget (column-stripe kernel); both must give the same bits.
     """
-    operator = TransitionOperator(medium_graph)
-    operator.stationary()
+    graph, policy = medium_graph, ExecutionPolicy()
+    if kernel == "streaming":
+        save_csr(medium_graph, tmp_path / "medium.csr")
+        graph = open_csr(tmp_path / "medium.csr")
+        policy = ExecutionPolicy(memory_budget=4 << 20)
+    operator = TransitionOperator(graph)
     sources = np.arange(256) % medium_graph.num_nodes
-    policy = ExecutionPolicy(backend=backend)
-    oracle = operator.variation_curves(sources, [_EVOLUTION_STEPS])
+    oracle = TransitionOperator(medium_graph).variation_curves(
+        sources, [_EVOLUTION_STEPS]
+    )
 
     out = benchmark(
         lambda: operator.variation_curves(
             sources, [_EVOLUTION_STEPS], policy=policy
         )
     )
-    if backend_numeric(backend) == "float64":
-        assert np.array_equal(out, oracle)
-    else:
-        assert np.abs(out - oracle).max() <= FLOAT32_CURVE_ATOL
+    assert np.array_equal(out, oracle)
 
 
 def test_micro_route_advancement(benchmark, medium_graph):

@@ -2,7 +2,7 @@
 
 Times the Figure 3 workload — a multi-walk variation-distance sweep — on
 a chunk-generated community graph opened straight from its on-disk CSR
-container, and gates the streaming backend's reason to exist:
+container, and gates the streaming stripe kernel's reason to exist:
 
 * **identity gate** (tier-1): the streaming sweep over a mapped graph is
   ``np.array_equal`` to the in-memory numpy kernel — stripe budgets are
@@ -15,7 +15,7 @@ container, and gates the streaming backend's reason to exist:
 The gate reads ``RssAnon`` from ``/proc/self/status`` rather than
 ``ru_maxrss``: file-backed mmap pages count toward RSS but are clean
 reclaimable cache the kernel drops under pressure — charging them to
-the streaming backend would penalise it for the very thing it is
+the streaming kernel would penalise it for the very thing it is
 designed to do (the tier-2 CI job draws the same line with
 ``RLIMIT_DATA``, which caps anonymous mappings only).  Each case
 appends a record — wall time, arc throughput, memory deltas — to
@@ -93,7 +93,7 @@ def test_streaming_identity_and_throughput(
     oracle = dense.variation_curves(sources, _WALKS)
 
     op = TransitionOperator(mapped_graph)
-    policy = ExecutionPolicy(backend="streaming", memory_budget=budget)
+    policy = ExecutionPolicy(memory_budget=budget)
 
     before = _memory_bytes()
     start = time.perf_counter()
@@ -146,7 +146,7 @@ def test_streaming_residency_gate(results_dir, config, tmp_path_factory):
     start = time.perf_counter()
     curves = op.variation_curves(
         sources, _WALKS,
-        policy=ExecutionPolicy(backend="streaming", memory_budget=budget),
+        policy=ExecutionPolicy(memory_budget=budget),
     )
     elapsed = time.perf_counter() - start
     after = _memory_bytes()

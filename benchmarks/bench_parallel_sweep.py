@@ -27,15 +27,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    FLOAT32_CURVE_ATOL,
     ExecutionPolicy,
     TransitionOperator,
-    available_backends,
-    backend_numeric,
     estimate_mixing_time,
     parallel_backend_available,
 )
 from repro.datasets import load_cached
+from repro.graph import open_csr, save_csr
 
 _NUM_SOURCES = 1000
 _WALKS = [1, 2, 5, 10]
@@ -177,10 +175,10 @@ def test_parallel_sweep_speedup_gate(operator, sources, results_dir):
 
 
 # ----------------------------------------------------------------------
-# Backend-comparison gates (the PR-7 SpMM seam)
+# Kernel-comparison gates (the operand picks the SpMM kernel)
 # ----------------------------------------------------------------------
 def _append_backend_record(results_dir, record: dict) -> None:
-    """Per-backend timing sidecar (``backend_sweep.json``), keyed on
+    """Per-kernel timing sidecar (``backend_sweep.json``), keyed on
     (benchmark, backend) so reruns replace rather than accumulate."""
     path = results_dir / "backend_sweep.json"
     records = []
@@ -195,38 +193,34 @@ def _append_backend_record(results_dir, record: dict) -> None:
     path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("backend", sorted(available_backends()))
-def test_backend_sweep_comparison(operator, sources, backend, results_dir):
-    """Every SpMM backend runs the physics1 sweep; per-backend wall time
-    goes to the sidecar and identity is asserted *on the timed run*:
-    float64 backends bit-for-bit against the numpy oracle, float32
-    inside its pinned envelope — a fast backend with drifted numbers
-    can never post a time.
+@pytest.mark.parametrize("backend", ["numpy", "streaming"])
+def test_backend_sweep_comparison(operator, sources, backend, results_dir, tmp_path):
+    """Both SpMM kernels run the physics1 sweep; per-kernel wall time
+    goes to the sidecar and identity with the in-memory oracle is
+    asserted *on the timed run*, so a fast kernel with drifted numbers
+    can never post a time.  The operand picks the kernel: ``numpy`` is
+    the in-memory graph, ``streaming`` the same graph opened
+    memory-mapped under a 4 MiB budget.
     """
     subset = sources[:300]
     oracle = operator.variation_curves(subset, _WALKS)
+    swept, policy = operator, ExecutionPolicy()
+    if backend == "streaming":
+        save_csr(load_cached("physics1"), tmp_path / "physics1.csr")
+        swept = TransitionOperator(open_csr(tmp_path / "physics1.csr"))
+        policy = ExecutionPolicy(memory_budget=4 << 20)
 
     start = time.perf_counter()
-    out = operator.variation_curves(
-        subset, _WALKS, policy=ExecutionPolicy(backend=backend)
-    )
+    out = swept.variation_curves(subset, _WALKS, policy=policy)
     seconds = time.perf_counter() - start
 
-    numeric = backend_numeric(backend)
-    if numeric == "float64":
-        assert np.array_equal(out, oracle), f"{backend} drifted from oracle"
-    else:
-        worst = np.abs(out - oracle).max()
-        assert worst <= FLOAT32_CURVE_ATOL, (
-            f"{backend} outside envelope: {worst:.3e}"
-        )
+    assert np.array_equal(out, oracle), f"{backend} drifted from oracle"
     _append_backend_record(
         results_dir,
         {
             "benchmark": "backend_sweep",
             "dataset": "physics1",
             "backend": backend,
-            "numeric": numeric,
             "num_sources": int(subset.size),
             "walk_lengths": _WALKS,
             "seconds": seconds,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Prove the streaming backend's memory claim under a hard OS ceiling.
+"""Prove the streaming stripe kernel's memory claim under a hard OS ceiling.
 
 The out-of-core pitch (DESIGN.md §5, EXPERIMENTS.md "Paper scale") is
 that a Figure 3-style variation-curve sweep over a graph whose
@@ -102,11 +102,7 @@ def main() -> int:
     first = op.variation_curves(
         sources,
         WALKS,
-        policy=ExecutionPolicy(
-            backend="streaming",
-            memory_budget=STRIPE_BUDGET,
-            checkpoint_dir=ckpt,
-        ),
+        policy=ExecutionPolicy(memory_budget=STRIPE_BUDGET, checkpoint_dir=ckpt),
     )
     print(f"streaming sweep finished in {time.perf_counter() - t0:.1f}s")
 
@@ -115,10 +111,7 @@ def main() -> int:
         sources,
         WALKS,
         policy=ExecutionPolicy(
-            backend="streaming",
-            memory_budget=STRIPE_BUDGET,
-            checkpoint_dir=ckpt,
-            resume=True,
+            memory_budget=STRIPE_BUDGET, checkpoint_dir=ckpt, resume=True
         ),
     )
     print(f"checkpoint resume finished in {time.perf_counter() - t0:.1f}s")

@@ -8,16 +8,15 @@ is and for the old two-temporary form ``abs(x - ref)``.
 
 ``call`` prints the median wall time of the ``hitting-pool`` benchmark
 call, ``estimate_mixing_time(slashdot1, ε=0.1, 64 sources, workers=2)``,
-over fresh source sets (``--workers 1`` for the serial call,
-``--backend float32`` for another SpMM kernel).  Three switches take
-parts of the sweep back out, for the variant rows of the table:
+over fresh source sets (``--workers 1`` for the serial call).  Three
+switches take parts of the sweep back out, for the variant rows of the
+table:
 
 * ``--check-every K`` — distance checks every K steps (1: every step);
 * ``--two-temporaries`` — the TVD reduction with its old second temporary;
 * ``--no-shard-floor`` — four shards per worker whatever the chunk width.
 
-Every variant's answers are checked against the per-step sweep on the
-same backend.  Run
+Every variant's answers are checked against the per-step sweep.  Run
 each variant in its own process, interleaved, on a quiet host::
 
     PYTHONPATH=src python scripts/measure_hitting_checks.py costs
@@ -91,9 +90,9 @@ def per_step(run):
         operators._CHECK_EVERY = every
 
 
-def call(graph, op, calls, seed, workers, backend):
+def call(graph, op, calls, seed, workers):
     rng = np.random.default_rng(seed)
-    policy = ExecutionPolicy(workers=workers, backend=backend)
+    policy = ExecutionPolicy(workers=workers)
     estimate_mixing_time(graph, 0.1, sources=np.arange(64), operator=op, policy=policy)
     samples = []
     for _ in range(calls):
@@ -102,7 +101,7 @@ def call(graph, op, calls, seed, workers, backend):
         got = estimate_mixing_time(graph, 0.1, sources=sources, operator=op, policy=policy)
         samples.append(time.perf_counter() - start)
         want = per_step(
-            lambda: op.hitting_times(sources, 0.1, policy=ExecutionPolicy(backend=backend))
+            lambda: op.hitting_times(sources, 0.1)
         )
         assert np.array_equal(got.per_source, want.times), "variant changed an answer"
     print(f"median {statistics.median(samples) * 1e3:.1f} ms over {calls} calls")
@@ -115,7 +114,6 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--backend", default="numpy")
     parser.add_argument("--check-every", type=int, default=None)
     parser.add_argument("--two-temporaries", action="store_true")
     parser.add_argument("--no-shard-floor", action="store_true")
@@ -132,7 +130,7 @@ def main() -> None:
     if args.what == "costs":
         costs(op, args.repeats)
     else:
-        call(graph, op, args.calls, args.seed, args.workers, args.backend)
+        call(graph, op, args.calls, args.seed, args.workers)
 
 
 if __name__ == "__main__":

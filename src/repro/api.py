@@ -42,19 +42,15 @@ from .core import (
     MixingTimeEstimate,
     NonBacktrackingOperator,
     PerSourceMixing,
-    SpmmBackend,
     TransitionOperator,
     WeightedTransitionOperator,
     as_policy,
-    available_backends,
-    backend_numeric,
     cheeger_bounds,
     conductance_lower_bound,
     directed_variation_curves,
     empirical_cdf,
     estimate_mixing_time,
     fast_mixing_walk_length,
-    get_backend,
     lower_bound_curve,
     measure_mixing,
     mixing_time_lower_bound,
@@ -65,7 +61,6 @@ from .core import (
     originator_biased_curves,
     parallel_backend_available,
     percentile_bands,
-    register_backend,
     resolve_workers,
     sample_sources,
     simulate_walk,
@@ -231,12 +226,6 @@ __all__ = [
     "parallel_backend_available",
     "resolve_workers",
     "sweep_fingerprint",
-    # SpMM backend seam
-    "SpmmBackend",
-    "available_backends",
-    "backend_numeric",
-    "get_backend",
-    "register_backend",
     # temporal graphs & incremental maintenance
     "TemporalGraph",
     "EdgeDelta",

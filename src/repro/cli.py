@@ -38,6 +38,7 @@ Unexpected exceptions (bugs) still propagate with a full traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Callable, Dict, Optional, Sequence
@@ -153,11 +154,15 @@ def _memory_budget_arg(raw: str) -> int:
             text, scale = text[: -len(suffix)], factor
             break
     try:
-        value = int(float(text) * scale)
+        scaled = float(text) * scale
     except ValueError:
+        scaled = math.nan
+    if not math.isfinite(scaled):
         raise argparse.ArgumentTypeError(
-            f"memory budget must be bytes with optional K/M/G suffix, got {raw!r}"
-        ) from None
+            f"memory budget must be a finite number of bytes with optional "
+            f"K/M/G suffix, got {raw!r}"
+        )
+    value = int(scaled)
     if value <= 0:
         raise argparse.ArgumentTypeError("memory budget must be positive")
     return value
@@ -185,10 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=_memory_budget_arg,
         default=None,
         metavar="BYTES",
-        help="peak working-set target for block evolution; accepts K/M/G "
-        "suffixes (e.g. 256M). Streams the operator in budget-sized "
-        "stripes with the streaming backend; results are bit-identical "
-        "at any setting",
+        help="working-memory target of a sweep; accepts K/M/G suffixes "
+        "(e.g. 256M). Dense evolution chunks get half of it; a "
+        "memory-mapped graph's double-buffered stripes are planned from "
+        "all of it (see ExecutionPolicy.memory_budget); results are "
+        "bit-identical at any setting",
     )
     parser.add_argument(
         "--full",
@@ -222,16 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="sources per evolution chunk (default: sized from the "
         "memory budget; results are identical at any setting)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="SpMM backend for block evolution (numpy, streaming, "
-        "float32; default numpy; float64 backends are bit-identical, "
-        "float32 trades precision for memory bandwidth; streaming walks "
-        "the operator in --memory-budget sized stripes for out-of-core "
-        "graphs)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -399,7 +395,6 @@ def _serve(args) -> int:
         workers=args.workers,
         block_size=args.block_size,
         memory_budget=args.memory_budget,
-        **({"backend": args.backend} if args.backend is not None else {}),
     )
     engine = QueryEngine(
         OperatorRegistry(capacity=args.registry_capacity),
@@ -483,7 +478,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         resume=not args.no_resume,
         memory_budget=args.memory_budget,
         **({"max_retries": args.max_retries} if args.max_retries is not None else {}),
-        **({"backend": args.backend} if args.backend is not None else {}),
     )
     config = ExperimentConfig(
         mode="full" if args.full else "fast",

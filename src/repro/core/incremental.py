@@ -20,9 +20,7 @@ threshold the window silently recomputes cold.
 **Agreement contract.**  Warm results must match cold recomputation
 (:func:`repro.core.spectral.transition_spectrum_extremes`) to within
 :data:`WARM_SLEM_ATOL` on every window — the residual bound guarantees
-it analytically and the test suite pins it empirically across every
-registered SpMM backend (float32 backends get the backend's own pinned
-envelope instead).
+it analytically and the test suite pins it empirically.
 
 **Cold fallback.**  Warm seeding is refused automatically when there is
 no previous state, the node count changed, or the delta touches more
@@ -36,13 +34,8 @@ distribution is degree-proportional (Theorem 1), so
 and reproduces :func:`repro.core.stationary.stationary_distribution`
 bit-for-bit.
 
-Matvecs route through the pluggable SpMM backend seam
-(:mod:`repro.core.backends`): non-default backends wrap their prepared
-step closure in a counted ``LinearOperator``, so the incremental path
-inherits the float32 / streaming kernels and their telemetry.
-The default ``"numpy"`` backend takes a fast path — a counted native
-CSR matvec — because the numpy backend's step *is* the scipy product
-and the per-call wrapper overhead would otherwise dominate the solve.
+Matvecs are scipy's native CSR product over the normalised adjacency,
+wrapped in a counted ``LinearOperator``.
 """
 
 from __future__ import annotations
@@ -56,9 +49,8 @@ from ..errors import ConfigurationError, NotConnectedError
 from ..graph import Graph
 from ..graph.temporal import EdgeDelta, TemporalGraph
 from ..obs import OBS
-from .backends import get_backend
 from .mixing import measure_mixing, sample_sources
-from .runtime import DEFAULT_POLICY, ExecutionPolicy, as_policy
+from .runtime import ExecutionPolicy, as_policy
 from .spectral import SpectralSummary, normalized_adjacency
 
 __all__ = [
@@ -75,7 +67,7 @@ __all__ = [
 ]
 
 #: Pinned warm-vs-cold agreement tolerance on SLEM / lambda_2 /
-#: lambda_min (float64 backends).  See DESIGN.md §7 for the derivation:
+#: lambda_min.  See DESIGN.md §7 for the derivation:
 #: residual-norm stopping at :data:`WARM_RESIDUAL_TOL` bounds the
 #: eigenvalue error two orders of magnitude below this contract.
 WARM_SLEM_ATOL = 1e-6
@@ -182,40 +174,23 @@ class StationaryTracker:
         return f"StationaryTracker(n={len(self._degrees)}, m={self._num_edges})"
 
 
-def _counted_operator(graph: Graph, policy: ExecutionPolicy):
-    """``(op, counter, matrix)`` — a counted ``v -> N v`` LinearOperator.
-
-    The default ``"numpy"`` backend applies the CSR matrix natively (its
-    step closure is the scipy product; re-entering it per matvec would
-    pay wrapper overhead thousands of times per solve).  Every other
-    backend routes through its prepared step so warm solves really
-    exercise the selected kernel.
-    """
+def _counted_operator(graph: Graph):
+    """``(op, counter, matrix)`` — a counted ``v -> N v`` LinearOperator."""
     import scipy.sparse.linalg as spla
 
     matrix = normalized_adjacency(graph)
     n = graph.num_nodes
     counter = {"matvecs": 0}
-    if policy.backend == "numpy":
 
-        def matvec(v):
-            counter["matvecs"] += 1
-            return matrix @ v
-
-    else:
-        step = get_backend(policy.backend).prepare(matrix, memory_budget=policy.memory_budget)
-
-        def matvec(v):
-            counter["matvecs"] += 1
-            return np.asarray(
-                step(np.asarray(v, dtype=np.float64).reshape(1, -1)), dtype=np.float64
-            )[0]
+    def matvec(v):
+        counter["matvecs"] += 1
+        return matrix @ v
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     return op, counter, matrix
 
 
-def _cold_state(graph: Graph, policy: ExecutionPolicy) -> SpectralState:
+def _cold_state(graph: Graph) -> SpectralState:
     """Deterministic cold solve that also yields the extreme eigenvectors.
 
     Mirrors :func:`transition_spectrum_extremes`'s sparse path (same
@@ -226,7 +201,7 @@ def _cold_state(graph: Graph, policy: ExecutionPolicy) -> SpectralState:
     import scipy.sparse.linalg as spla
 
     n = graph.num_nodes
-    op, counter, matrix = _counted_operator(graph, policy)
+    op, counter, matrix = _counted_operator(graph)
     if n <= _MIN_WARM_NODES:
         dense = matrix.toarray()
         vals, vecs = np.linalg.eigh(dense)
@@ -279,15 +254,15 @@ def warm_spectral_extremes(
         rejected and the solver recomputes cold.  ``None`` means
         "unknown but small" (warm is attempted when ``state`` fits).
     policy:
-        Execution policy; ``policy.backend`` selects the SpMM kernel the
-        matvecs route through.
+        Execution policy, validated and accepted for symmetry with the
+        other sweeps; no execution knob changes a Lanczos matvec.
 
     The returned state satisfies the pinned agreement contract
     (:data:`WARM_SLEM_ATOL` against a cold solve) whichever path ran.
     """
     import scipy.sparse.linalg as spla
 
-    run_policy = as_policy(policy) if policy is not None else DEFAULT_POLICY
+    as_policy(policy)
     warm_ok = (
         state is not None
         and state.n == graph.num_nodes
@@ -298,10 +273,10 @@ def warm_spectral_extremes(
         )
     )
     if not warm_ok:
-        return _cold_state(graph, run_policy)
+        return _cold_state(graph)
 
     with OBS.span("incremental.warm", n=graph.num_nodes):
-        op, counter, matrix = _counted_operator(graph, run_policy)
+        op, counter, matrix = _counted_operator(graph)
         # The previous eigenvectors seed loose-tolerance Lanczos solves;
         # k=2 "LA" resolves (lambda_1 = 1, lambda_2) together, which is
         # cheaper than deflating lambda_1 out by hand.
@@ -322,7 +297,7 @@ def warm_spectral_extremes(
         res_min = float(np.linalg.norm(matrix @ vec_min - lambda_min * vec_min))
         counter["matvecs"] += 2
     if max(res2, res_min) > 2.0 * residual_tol:
-        return _cold_state(graph, run_policy)
+        return _cold_state(graph)
     slem = min(max(abs(lambda2), abs(lambda_min)), 1.0)
     if OBS.enabled:
         OBS.add("core.incremental.warm_starts")

@@ -26,8 +26,7 @@ probability ``1/(deg(u)-1)`` — or from ``rev(f)`` alone when
 projecting arc mass onto arc *heads* recovers the familiar ``deg / 2m``
 node stationary distribution of the simple walk.  Measurement therefore
 happens in node space: evolve arc blocks with the same blocked SpMM as
-every other operator (the backend seam applies unchanged — ``B`` is just
-another CSR matrix), project each checkpoint onto nodes, and record TVD
+every other operator (``B`` is just another CSR matrix), project each checkpoint onto nodes, and record TVD
 against ``deg / 2m``.  A walk "started at node i" starts uniform over
 the out-arcs of ``i``, matching the sampling definition of the walk.
 
@@ -74,9 +73,8 @@ class NonBacktrackingOperator(MarkovOperator):
     """The Hashimoto edge-space operator of an undirected graph.
 
     A full :class:`~repro.core.operators.MarkovOperator` over the ``2m``
-    arc slots: all block evolution machinery (and every registered SpMM
-    backend) applies verbatim because the operator is an ordinary CSR
-    matrix.  The node-space helpers (:meth:`start_block`,
+    arc slots: all block evolution machinery applies verbatim because
+    the operator is an ordinary CSR matrix.  The node-space helpers (:meth:`start_block`,
     :meth:`project_to_nodes`, :meth:`node_stationary`) translate between
     arc space and the node distributions the mixing measurement reports.
     """
@@ -232,7 +230,7 @@ def non_backtracking_curves(
     the *node occupancy* of a non-backtracking walk of length
     ``walk_lengths[j]`` started at ``sources[i]``.  Arc blocks are
     chunked against the policy's memory budget (a row is ``2m`` arcs
-    wide) and stepped with the policy-selected SpMM backend.
+    wide) and stepped with scipy's ``block @ csr``.
     """
     lengths = _check_walk_lengths(walk_lengths)
     return _node_space_sweep(

@@ -48,6 +48,7 @@ import numpy as np
 from .._util import check_node_index, check_probability_vector
 from ..obs import OBS
 from .distances import total_variation_to_reference
+from .outofcore import StripedTransitionMatrix
 from .runtime import ExecutionPolicy, as_policy
 
 __all__ = [
@@ -116,8 +117,9 @@ def policy_block_bytes(policy: ExecutionPolicy) -> int:
 
     Without a ``memory_budget`` this is the historical
     :data:`DEFAULT_BLOCK_BYTES`; with one, the dense ``(s, n)``
-    evolution block gets half the budget (the other half belongs to the
-    streaming backend's double-buffered stripes), floored at one row's
+    evolution block gets half the budget (a memory-mapped operand's
+    double-buffered stripes are planned from the whole budget; see
+    :class:`~repro.core.runtime.ExecutionPolicy`), floored at one row's
     worth so a tiny budget still makes progress.  Purely an execution
     decision — chunk boundaries are bit-for-bit neutral.
     """
@@ -162,7 +164,6 @@ class MarkovOperator(ABC):
         """Initialise shared state; must run before any evolution call."""
         self._num_states = int(num_states)
         self._stationary_cache: Optional[np.ndarray] = None
-        self._backend_cache: dict = {}
 
     # ------------------------------------------------------------------
     # Abstract surface
@@ -181,36 +182,25 @@ class MarkovOperator(ABC):
         return np.asarray(block @ self._matrix)
 
     def _resolve_step(self, policy: ExecutionPolicy):
-        """The step kernel honouring ``policy.backend``.
+        """The step kernel for ``policy``; the operand decides it.
 
-        ``backend="numpy"`` (the default) — and *any* backend on an
-        operator with a custom :meth:`_apply_block` (teleporting,
-        dangling-mass dynamics the registry kernels cannot replicate
-        from CSR arrays alone, mirroring
-        :func:`repro.core.parallel.describe_operator`'s contract) —
-        resolves to :meth:`_apply_block` itself: choosing the default
-        backend changes nothing, bit-for-bit.  Other backends prepare a
-        kernel over ``self._matrix`` once and memoise it per backend
-        name on the operator.
+        A memory-mapped operand (a
+        :class:`~repro.core.outofcore.StripedTransitionMatrix` under the
+        base kernel) with a ``policy.memory_budget`` steps through the
+        matrix's stripe kernel planned for that budget.  Everything else
+        steps through :meth:`_apply_block`: scipy's ``block @ csr`` for
+        in-memory matrices, the default-budget stripe walk for mapped
+        ones, and the subclass's own dynamics where it overrides the
+        kernel.  Every choice gives the same bits.
         """
-        name = policy.backend
+        matrix = getattr(self, "_matrix", None)
         if (
-            name == "numpy"
-            or type(self)._apply_block is not MarkovOperator._apply_block
-            or getattr(self, "_matrix", None) is None
+            policy.memory_budget is not None
+            and isinstance(matrix, StripedTransitionMatrix)
+            and type(self)._apply_block is MarkovOperator._apply_block
         ):
-            return self._apply_block
-        cache = self._backend_cache
-        key = (name, policy.memory_budget)
-        step = cache.get(key)
-        if step is None:
-            from .backends import get_backend
-
-            step = get_backend(name).prepare(
-                self._matrix, memory_budget=policy.memory_budget
-            )
-            cache[key] = step
-        return step
+            return matrix.budgeted_step(policy.memory_budget)
+        return self._apply_block
 
     # ------------------------------------------------------------------
     # Shared properties
@@ -521,7 +511,7 @@ class MarkovOperator(ABC):
         vertex" collapses ``s`` point-mass sweeps into evolving the one
         uniform row) and behind warm-started measurement generally.
         Rows are chunked exactly like the point-mass path and evolved
-        with the policy-selected backend kernel; the sweep is serial by
+        with the operator's step kernel; the sweep is serial by
         design (the callers pass a handful of rows, far below where the
         pool pays for itself).
         """
@@ -619,7 +609,6 @@ def _replay_threshold(
     reference: np.ndarray,
     epsilon: float,
     every: int,
-    backend: str,
 ) -> Optional[float]:
     """Distance below which a row must be replayed at an ``every``-step check.
 
@@ -629,20 +618,17 @@ def _replay_threshold(
     too loose to help (``every`` times the per-step slack reaches
     ``epsilon``) and the caller checks every step.  The slack is the
     reference's own drift ``TVD(step(r), r)``, measured with the sweep's
-    kernel, plus rounding bounds for the step (in the backend's
-    precision) and the TVD reduction.  DESIGN.md §5 derives it.
+    kernel, plus float64 rounding bounds for the step and the TVD
+    reduction.  DESIGN.md §5 derives it.
     """
-    from .backends import backend_numeric
-
     n = reference.shape[0]
     h = _gamma(n + 8, np.finfo(np.float64).eps / 2)
-    g = _gamma(n + 8, np.finfo(np.dtype(backend_numeric(backend))).eps / 2)
     if not h < 0.005:
         return None
     probe = step(reference[np.newaxis, :], np.zeros(1, dtype=np.int64))
     drift = float(total_variation_to_reference(probe, reference, validate=False)[0])
     mass = float(np.abs(reference).sum()) / (1.0 - h)
-    slack = drift / (1.0 - h) + g * (mass + 7.0)
+    slack = drift / (1.0 - h) + h * (mass + 7.0)
     if not every * slack < epsilon:
         return None
     return (1.0 + h) * (epsilon / (1.0 - h) + every * slack)
@@ -730,9 +716,7 @@ def _sweep(
     final = np.empty(num_rows, dtype=np.float64)
     replay_below = None
     if measure is None and last > 1 and _CHECK_EVERY > 1:
-        replay_below = _replay_threshold(
-            step, reference, epsilon, _CHECK_EVERY, policy.backend
-        )
+        replay_below = _replay_threshold(step, reference, epsilon, _CHECK_EVERY)
     every = 1 if replay_below is None else _CHECK_EVERY
 
     def retire(pos: np.ndarray, when: int, dist: np.ndarray) -> None:

@@ -18,23 +18,184 @@ on demand:
   two float64 operations scipy's ``alpha*I + (1-alpha)*P`` performs, so
   stripe values are bit-for-bit scipy's.
 
-The ``streaming`` backend (:mod:`repro.core.backends`) consumes the
-stripe protocol (``csc_indptr`` / ``csc_stripe``); the dense-block
-``block @ matrix`` protocol is also implemented (via the same streaming
-kernel), so the default ``numpy`` backend path works unchanged on
-memory-mapped operators and produces identical bits.
+Every step over a striped matrix streams:
+:meth:`StripedTransitionMatrix.budgeted_step` walks the CSC stripes
+planned for a memory budget with double-buffered loads, and ``block @
+matrix`` is its default-budget case, so sweeps over memory-mapped
+operators produce scipy's bits without ever holding the whole matrix.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import queue
+import threading
+import time
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph import Graph
+from ..obs import OBS
 from .runtime import sweep_fingerprint
 
-__all__ = ["StripedTransitionMatrix"]
+__all__ = ["StripedTransitionMatrix", "stripe_bounds"]
+
+
+# ----------------------------------------------------------------------
+# The streaming stripe kernel
+# ----------------------------------------------------------------------
+#: Stripe-buffer budget the streaming kernel assumes when a sweep sets
+#: no ``memory_budget``: big enough that small graphs run in one stripe.
+_STREAM_DEFAULT_BYTES = 8 * 1024 * 1024
+
+#: Bytes of stripe payload per nonzero: int64 row + float64 value, times
+#: two because the double buffer holds the current and the prefetched
+#: stripe at once.
+_STREAM_BYTES_PER_NNZ = 32
+
+
+def stripe_bounds(csc_indptr: np.ndarray, budget_bytes: int) -> List[int]:
+    """Column-stripe boundaries whose nonzeros fit the stripe budget.
+
+    Returns ``[c_0=0, c_1, ..., c_k=n]``; stripe ``i`` covers columns
+    ``[c_i, c_{i+1})`` and holds at most ``budget_bytes /
+    _STREAM_BYTES_PER_NNZ`` nonzeros — except single columns denser than
+    the budget, which become singleton stripes (a column cannot be
+    split without changing the accumulation order).
+    """
+    n = int(csc_indptr.shape[0]) - 1
+    target = max(int(budget_bytes) // _STREAM_BYTES_PER_NNZ, 1)
+    bounds = [0]
+    while bounds[-1] < n:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(csc_indptr, int(csc_indptr[lo]) + target, side="right")) - 1
+        bounds.append(min(max(hi, lo + 1), n))
+    return bounds
+
+
+def _apply_csc_stripe(
+    xT: np.ndarray,
+    out: np.ndarray,
+    col_offset: int,
+    local_indptr: np.ndarray,
+    rows: np.ndarray,
+    vals: np.ndarray,
+) -> None:
+    """Accumulate one CSC column stripe into ``out`` in oracle order.
+
+    Each output column is an in-order left fold over its nonzeros —
+    increasing CSC position, exactly scipy's ``csc_matvecs``
+    accumulation sequence.  Column stripes partition *output columns*,
+    so striping cannot reassociate any sum: the result is independent of
+    the stripe plan.
+
+    A rank-stripe loop (one fancy-indexing pass per column rank) would
+    take ``max(column degree)`` passes — pathological on power-law
+    graphs whose hub columns are thousands deep.  Instead the stripe's
+    transpose *is* a valid CSR matrix over the same arrays, and scipy's
+    ``csr_matvecs`` kernel folds each output row strictly in increasing
+    nonzero position — precisely the per-column order the oracle commits
+    to — at C speed.  (``np.add.reduceat`` was tried and rejected here:
+    numpy's inner reduce loop is pairwise for runs longer than 8
+    elements, which flips low-order bits on hub columns.)  The
+    differential harness in tests/core/test_backends.py and
+    tests/core/test_outofcore.py pins bit-identity against the oracle.
+
+    ``xT`` is the C-contiguous transpose of the dense block, taken once
+    per step; passing ``x`` itself would make scipy re-copy the block
+    for every stripe.
+    """
+    if not vals.size:
+        return
+    from scipy.sparse import csr_matrix
+
+    width = int(local_indptr.shape[0]) - 1
+    stripe_t = csr_matrix(
+        (vals, rows, local_indptr), shape=(width, xT.shape[0]), copy=False
+    )
+    out[:, col_offset:col_offset + width] += (stripe_t @ xT).T
+
+
+def _prepare_streaming(
+    matrix: "StripedTransitionMatrix", *, memory_budget: Optional[int] = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Budgeted column-stripe SpMM with double-buffered stripe loads.
+
+    Stripes come from ``matrix.csc_stripe`` (derived lazily from the
+    memory-mapped CSR arrays) and are planned by :func:`stripe_bounds`
+    for ``memory_budget`` bytes (:data:`_STREAM_DEFAULT_BYTES` when
+    ``None``).  Each :func:`step` walks the stripe plan with a helper
+    thread loading stripe ``i + 1`` while stripe ``i`` multiplies, so
+    disk latency overlaps compute; the output is bit-for-bit scipy's
+    ``block @ csr``.
+    """
+    budget = int(memory_budget) if memory_budget else _STREAM_DEFAULT_BYTES
+    csc_indptr = np.asarray(matrix.csc_indptr, dtype=np.int64)
+    loader = matrix.csc_stripe
+    n_cols = int(csc_indptr.shape[0]) - 1
+    bounds = stripe_bounds(csc_indptr, budget)
+    n_stripes = len(bounds) - 1
+
+    def load(i: int):
+        local_indptr, rows, vals = loader(bounds[i], bounds[i + 1])
+        if OBS.enabled:
+            OBS.add("core.backend.streaming.stripes")
+            OBS.add(
+                "core.backend.streaming.bytes_loaded",
+                int(local_indptr.nbytes + rows.nbytes + vals.nbytes),
+            )
+        return bounds[i], local_indptr, rows, vals
+
+    def step(block: np.ndarray) -> np.ndarray:
+        x = np.asarray(block, dtype=np.float64)
+        out = np.zeros((x.shape[0], n_cols), dtype=np.float64)
+        xT = np.ascontiguousarray(x.T)
+        if n_stripes <= 1:
+            if n_stripes:
+                col0, local_indptr, rows, vals = load(0)
+                _apply_csc_stripe(xT, out, col0, local_indptr, rows, vals)
+            return out
+        # Double buffer: a helper thread keeps up to two stripes staged
+        # while the main thread multiplies.  The thread lives for one
+        # step call only, so nothing leaks if the operator is dropped.
+        staged: "queue.Queue" = queue.Queue(maxsize=2)
+        cancel = threading.Event()
+
+        def produce():
+            for i in range(n_stripes):
+                try:
+                    item = ("ok", load(i))
+                except BaseException as exc:  # surfaced by the consumer
+                    item = ("err", exc)
+                while not cancel.is_set():
+                    try:
+                        staged.put(item, timeout=0.1)
+                        break
+                    except queue.Full:
+                        continue
+                if cancel.is_set() or item[0] == "err":
+                    return
+
+        worker = threading.Thread(target=produce, daemon=True)
+        worker.start()
+        try:
+            for _ in range(n_stripes):
+                t0 = time.perf_counter()
+                tag, payload = staged.get()
+                if OBS.enabled:
+                    OBS.observe(
+                        "core.backend.streaming.swap_wait_seconds",
+                        time.perf_counter() - t0,
+                    )
+                if tag == "err":
+                    raise payload
+                col0, local_indptr, rows, vals = payload
+                _apply_csc_stripe(xT, out, col0, local_indptr, rows, vals)
+        finally:
+            cancel.set()
+        return out
+
+    return step
 
 
 class StripedTransitionMatrix:
@@ -64,7 +225,7 @@ class StripedTransitionMatrix:
         # values must be the very float64 numbers scipy would store.
         self._inv_deg = 1.0 / degrees.astype(np.float64)
         self._csc_indptr: Optional[np.ndarray] = None
-        self._default_step = None
+        self._steps: Dict[Optional[int], Callable[[np.ndarray], np.ndarray]] = {}
         self._dense_cache = None
 
     # ------------------------------------------------------------------
@@ -122,7 +283,7 @@ class StripedTransitionMatrix:
         return sweep_fingerprint("core.striped_transition", graph_key, self._alpha)
 
     # ------------------------------------------------------------------
-    # Stripe protocol (consumed by the streaming backend)
+    # Stripe protocol (consumed by the streaming kernel)
     # ------------------------------------------------------------------
     @property
     def csc_indptr(self) -> np.ndarray:
@@ -173,27 +334,40 @@ class StripedTransitionMatrix:
         return local_out, rows_out, vals_out
 
     # ------------------------------------------------------------------
-    # Dense-block product (the default numpy-backend path)
+    # Dense-block product
     # ------------------------------------------------------------------
+    def budgeted_step(
+        self, memory_budget: Optional[int] = None
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """``block -> block @ P`` streaming stripes planned for ``memory_budget``.
+
+        ``memory_budget`` is :class:`~repro.core.runtime.ExecutionPolicy`'s
+        field (``None`` plans for :data:`_STREAM_DEFAULT_BYTES`).  The
+        step is prepared once per budget and memoised on the matrix; any
+        budget gives the same bits, since stripes partition output
+        columns and never reorder a column's sum.
+        """
+        step = self._steps.get(memory_budget)
+        if step is None:
+            step = _prepare_streaming(self, memory_budget=memory_budget)
+            self._steps[memory_budget] = step
+        return step
+
     def __rmatmul__(self, block: np.ndarray) -> np.ndarray:
-        """``block @ P`` via the streaming stripe kernel (default budget).
+        """``block @ P``: the default-budget :meth:`budgeted_step`.
 
         Bit-for-bit equal to materialising P and letting scipy multiply
         — the streaming kernel reproduces scipy's per-column
-        accumulation order exactly — so the default backend stays the
-        oracle on memory-mapped operators too.
+        accumulation order exactly.
         """
-        if self._default_step is None:
-            from .backends import _prepare_streaming
-
-            self._default_step = _prepare_streaming(self)
+        step = self.budgeted_step()
         x = np.asarray(block, dtype=np.float64)
         if x.ndim == 1:
-            return self._default_step(x[np.newaxis, :])[0]
-        return self._default_step(x)
+            return step(x[np.newaxis, :])[0]
+        return step(x)
 
     # ------------------------------------------------------------------
-    # Materialisation escape hatches (small graphs / non-core backends)
+    # Materialisation escape hatches (small graphs)
     # ------------------------------------------------------------------
     def tocsr(self):
         """The matrix as an in-memory scipy CSR (O(2m) — small graphs only)."""

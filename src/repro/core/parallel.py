@@ -720,24 +720,15 @@ def _fan_out(sweep: _Sweep, policy: ExecutionPolicy):
 
 
 def _operator_fingerprint(
-    sweep: str, kind: str, matrix, extras: dict, reference, *parts, backend="numpy"
+    sweep: str, kind: str, matrix, extras: dict, reference, *parts
 ) -> str:
     """Content-addressed identity of one operator sweep (checkpoint key).
 
     Hashes the CSR arrays, the operator's extra dynamics (damping /
     dangling mask / originator bias) and the sweep parameters — but not
-    ``workers``/``block_size``, to which results are
-    pinned invariant.  ``backend`` follows the same rule *conditionally*:
-    float64 backends are bit-identical to the oracle, so they share the
-    oracle's fingerprint (a checkpoint taken under one resumes under
-    another); a non-exact numeric (float32) genuinely changes the
-    numbers, so its numeric tag joins the hash and its checkpoints never
-    masquerade as float64 results.
+    the execution policy (workers, chunking, memory budget), to which
+    results are pinned invariant.
     """
-    from .backends import backend_numeric
-
-    numeric = backend_numeric(backend)
-    extra_parts = () if numeric == "float64" else (f"numeric:{numeric}",)
     content = getattr(matrix, "fingerprint", None)
     if content is not None:
         # Out-of-core matrices carry a content digest (graph fingerprint
@@ -757,7 +748,6 @@ def _operator_fingerprint(
         float(extras.get("beta", 0.0)),
         reference,
         *parts,
-        *extra_parts,
     )
 
 
@@ -797,11 +787,9 @@ def _operator_sweep(kind, operator, rows, reference, policy, run, args, fingerpr
 
 
 def _shard_policy(policy: ExecutionPolicy) -> ExecutionPolicy:
-    """The in-shard policy: serial, same chunking, backend and budget."""
+    """The in-shard policy: serial, same chunking and budget."""
     return ExecutionPolicy(
-        block_size=policy.block_size,
-        backend=policy.backend,
-        memory_budget=policy.memory_budget,
+        block_size=policy.block_size, memory_budget=policy.memory_budget
     )
 
 
@@ -854,8 +842,7 @@ def maybe_parallel_variation_curves(
         "curves", operator, sources, reference, policy, _call_operator,
         ("variation_curves", (walk_lengths,), {"policy": _shard_policy(policy)}),
         lambda kind, matrix, extras: _operator_fingerprint(
-            "curves", kind, matrix, extras, reference, sources, walk_lengths,
-            backend=policy.backend,
+            "curves", kind, matrix, extras, reference, sources, walk_lengths
         ),
     )
 
@@ -874,7 +861,7 @@ def maybe_parallel_hitting_times(
         ),
         lambda kind, matrix, extras: _operator_fingerprint(
             "hitting", kind, matrix, extras, reference, sources,
-            float(epsilon), int(max_steps), backend=policy.backend,
+            float(epsilon), int(max_steps)
         ),
     )
     return None if out is None else HittingTimes(*out)

@@ -63,7 +63,6 @@ import numpy as np
 
 from ..errors import CheckpointCorruption, ConfigurationError, RuntimeFailure
 from ..obs import OBS
-from .backends import DEFAULT_BACKEND, validate_backend
 
 __all__ = [
     "DEFAULT_POLICY",
@@ -124,25 +123,25 @@ class ExecutionPolicy:
         When true (default) a checkpointed sweep skips shards already
         on disk; when false existing checkpoints for this sweep are
         discarded and recomputed.
-    backend:
-        Name of the SpMM kernel serving the blocked ``X @ P`` hot path
-        (see :mod:`repro.core.backends`).  ``"numpy"`` (default) and
-        every other float64 backend are bit-for-bit neutral — the
-        differential harness pins them against the oracle — so like the
-        other knobs they never enter checkpoint fingerprints;
-        ``"float32"`` trades a pinned error envelope for bandwidth and
-        therefore *does* perturb results (its sweeps fingerprint and
-        cache separately).  Unknown names fail here, at construction.
     memory_budget:
-        Bytes of working memory one sweep may hold at a time.  ``None``
-        (default) keeps the historical behaviour (dense blocks sized
-        from the operator layer's 1 MiB default).  When set, dense
-        evolution chunks are sized to half the budget and the
-        ``streaming`` backend sizes its CSR stripes from the remainder,
-        so a sweep over a memory-mapped graph whose CSR exceeds RAM
-        stays inside the ceiling.  Like every other field this is an
-        execution knob: any budget produces bit-for-bit the same numbers
-        and never enters checkpoint fingerprints.
+        Working-memory target of one sweep, in bytes.  ``None``
+        (default) sizes dense evolution chunks from the operator layer's
+        1 MiB default and plans a memory-mapped operand's stripes for
+        8 MiB.  When set, two allocations are sized from it:
+
+        * the dense ``(s, n)`` evolution chunk gets half the budget
+          (at least one row);
+        * over a memory-mapped graph, the column stripes of the
+          transition matrix are planned so that the stripe being
+          multiplied plus the one prefetched behind it fit the *whole*
+          budget (32 bytes per nonzero for the pair; a column denser
+          than that is a stripe of its own).
+
+        The budget therefore bounds the chunk and the stripe pair each,
+        not their sum (together up to 1.5x the budget); an in-memory
+        matrix is never striped and is held in full.  Like every other
+        field this is an execution knob: any budget produces bit-for-bit
+        the same numbers and never enters checkpoint fingerprints.
     """
 
     workers: Optional[int] = None
@@ -151,7 +150,6 @@ class ExecutionPolicy:
     shard_timeout: Optional[float] = None
     checkpoint_dir: Optional[str] = None
     resume: bool = True
-    backend: str = DEFAULT_BACKEND
     memory_budget: Optional[int] = None
 
     def __post_init__(self):
@@ -191,7 +189,6 @@ class ExecutionPolicy:
             # Accept Path objects but store a plain string: policies end
             # up inside JSON run manifests via dataclasses.asdict.
             object.__setattr__(self, "checkpoint_dir", os.fspath(self.checkpoint_dir))
-        validate_backend(self.backend)
         mb = self.memory_budget
         if mb is not None:
             if isinstance(mb, bool) or not isinstance(mb, (int, np.integer)) or mb < 1:

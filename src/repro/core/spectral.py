@@ -115,7 +115,7 @@ def normalized_adjacency_operator(graph: Graph, *, memory_budget=None):
     """
     from scipy.sparse.linalg import LinearOperator
 
-    from .backends import _STREAM_DEFAULT_BYTES, stripe_bounds
+    from .outofcore import _STREAM_DEFAULT_BYTES, stripe_bounds
 
     deg = graph.degrees.astype(np.float64)
     if np.any(deg == 0):

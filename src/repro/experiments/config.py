@@ -69,7 +69,7 @@ class ExperimentConfig:
     policy:
         Optional :class:`~repro.core.runtime.ExecutionPolicy` bundling
         *all* execution knobs (workers, block size, retries, shard
-        timeout, checkpoint directory, backend, memory budget); runners
+        timeout, checkpoint directory, memory budget); runners
         read it via :attr:`execution_policy`, and it runs on the fork +
         shared-memory process pool when ``workers`` exceeds one.  Its
         ``workers`` is validated at construction time by

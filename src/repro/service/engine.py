@@ -609,11 +609,7 @@ class QueryEngine:
     policy:
         :class:`~repro.core.runtime.ExecutionPolicy` applied to every
         sweep the engine runs.  Execution-only: answers are bit-identical
-        at any worker count and under any *float64* SpMM backend, so the
-        policy never enters a cache key — with one pinned exception: a
-        reduced-precision backend (``float32``) changes the numbers, so
-        its results key separately (a ``:float32`` suffix on the
-        fingerprint) and never collide with float64 entries.
+        under any policy, so the policy never enters a cache key.
     coalesce_window:
         Seconds the bucket leader waits for co-batchable requests before
         flushing.  ``0`` disables coalescing (every request sweeps alone).
@@ -702,11 +698,6 @@ class QueryEngine:
             with self.registry.acquire(query.dataset, laziness=laziness) as lease:
                 _check_sources(query, lease.operator.num_states)
                 key = query.fingerprint(lease.graph_key)
-                tag = self._numeric_tag()
-                if tag is not None:
-                    # Reduced-precision backends answer with different
-                    # numbers; their cache entries key separately.
-                    key = f"{key}:{tag}"
                 cached = self.cache.get(key)
                 if cached is not None:
                     if OBS.enabled:
@@ -730,22 +721,6 @@ class QueryEngine:
                     value, key, False, batch_size > 1, batch_size, start, query,
                     graph_version=lease.graph_key,
                 )
-
-    def _numeric_tag(self) -> Optional[str]:
-        """Cache-key suffix for reduced-precision backends (else ``None``).
-
-        Float64 backends are bit-identical to the numpy oracle, so they
-        share cache entries exactly like worker counts do; float32 is
-        the one knob that changes answers, and keying it separately is
-        the pinned design choice (never serve float32 numbers to a
-        float64 caller or vice versa).
-        """
-        if self.policy is None:
-            return None
-        from ..core.backends import backend_numeric
-
-        numeric = backend_numeric(self.policy.backend)
-        return None if numeric == "float64" else numeric
 
     def _finish(
         self, value, key, hit, coalesced, batch_size, start, query, *,
@@ -802,9 +777,6 @@ class QueryEngine:
             temporal = self._temporal_locked(query.dataset)
             version = temporal.version
             key = query.fingerprint(version)
-            tag = self._numeric_tag()
-            if tag is not None:
-                key = f"{key}:{tag}"
             cached = self.cache.get(key)
             if cached is not None:
                 if OBS.enabled:

@@ -9,12 +9,8 @@ type-tagged sha256 machinery of
 the query dimension: a cache key covers the graph content, the operator
 kind and its dynamics knobs, the query type, and every query parameter
 (ε, walk lengths, sources, seeds) — and deliberately **excludes** every
-execution knob (workers, block size, coalescing window, and any
-*float64* SpMM backend), to which all answers are pinned bit-for-bit
-invariant.  The one execution knob that is not answer-neutral —
-a reduced-precision backend — is handled by the engine suffixing the
-finished key (``...:float32``), so float32 answers key separately
-without perturbing any float64 fingerprint.
+execution knob (workers, block size, memory budget, coalescing window),
+to which all answers are pinned bit-for-bit invariant.
 """
 
 from __future__ import annotations

@@ -1,21 +1,22 @@
-"""Differential-testing harness for the SpMM backend seam.
+"""Kernel-identity harness: the operand picks the SpMM kernel.
 
-Every registered backend is driven through the same gates:
+An in-memory operator steps with scipy's ``block @ csr``; the same
+graph opened as a :class:`~repro.graph.storage.MemmapGraph` steps with
+the streaming stripe kernel of
+:class:`~repro.core.outofcore.StripedTransitionMatrix`.  Every case is
+parametrised by ``kernel``: ``"numpy"`` runs on the in-memory graph,
+``"streaming"`` on the mapped copy (``save_csr``/``open_csr`` under
+``tmp_path``) with a small memory budget so the stripe plan has many
+stripes.  Both must give the same bits, through the same gates:
 
 * **Golden suite** — the committed ``tests/data/golden_values.json``
-  TVD curves and hitting-time estimates, re-measured under each
-  backend.  Float64 backends must be *bit-for-bit* the numpy oracle
-  (and hence match the goldens at ``CURVE_ATOL``); ``float32`` must
-  stay inside the pinned envelope (``FLOAT32_CURVE_ATOL`` on curves,
-  ``FLOAT32_TIME_SLACK`` steps on hitting times).
-* **Serial equivalence** — workers 1 vs 2, processes vs threads, chunk
-  boundaries: execution shape never changes a backend's answer.
-* **Fault tolerance** — checkpointed sweeps resume under float64
-  backends (shared fingerprints) and never serve float64 shards to a
-  float32 sweep (disjoint fingerprints).
-* **Operator zoo coverage** — operators with custom dynamics
-  (teleport, dangling) bypass the seam by contract and are asserted
-  bit-identical under *every* backend.
+  TVD curves and hitting-time estimates, re-measured per kernel.
+* **Serial equivalence** — chunk boundaries, worker pools and pools
+  entered from caller threads never change a kernel's answer.
+* **Fault tolerance** — checkpointed sweeps resume bit-identically.
+* **Operator zoo coverage** — every undirected kind over a mapped
+  graph equals its in-memory twin; custom dynamics (teleport,
+  dangling) keep their own kernel under a memory budget.
 
 The non-backtracking operator is pinned against a naive dense
 edge-walk reference with hypothesis property tests, and the
@@ -24,6 +25,7 @@ uniform-start estimator against hard-coded golden values.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,30 +33,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.backends as backends_mod
 from repro.core import (
-    DEFAULT_BACKEND,
-    FLOAT32_CURVE_ATOL,
-    FLOAT32_TIME_SLACK,
     ExecutionPolicy,
     MarkovOperator,
     NonBacktrackingOperator,
-    SpmmBackend,
     TransitionOperator,
-    available_backends,
-    backend_numeric,
+    WeightedTransitionOperator,
     estimate_mixing_time,
-    get_backend,
     measure_mixing,
     non_backtracking_curves,
     non_backtracking_hitting_times,
     non_backtracking_slem,
-    register_backend,
-    validate_backend,
 )
+from repro.core.trust import jaccard_arc_weights
 from repro.errors import ConfigurationError
 from repro.generators import erdos_renyi_gnm, ring_lattice
-from repro.graph import largest_connected_component
+from repro.graph import largest_connected_component, open_csr, save_csr
 from repro.sybil.routes import arc_sources, reverse_slots
 
 from tests.core.test_golden_values import (
@@ -64,110 +58,82 @@ from tests.core.test_golden_values import (
     build_golden_graphs,
     load_fixture,
 )
-from tests.core.test_operators import ALL_KINDS, make_operator
+from tests.core.test_operators import ALL_KINDS, _er_graph, make_operator
 
-ALL_BACKENDS = list(available_backends())
-FLOAT64_BACKENDS = [b for b in ALL_BACKENDS if backend_numeric(b) == "float64"]
-NON_DEFAULT_BACKENDS = [b for b in ALL_BACKENDS if b != DEFAULT_BACKEND]
+KERNELS = ["numpy", "streaming"]
 
-#: Operator kinds whose step is a plain ``X @ P`` over ``_matrix`` —
-#: the kinds the backend seam actually rewires.  Custom-dynamics kinds
-#: (directed teleport/dangling) fall back to their own kernel.
-SEAM_KINDS = [
+#: Memory budget of the streaming cases: small enough that the test
+#: graphs stream in many stripes.
+STREAM_BUDGET = 2048
+
+#: Undirected kinds, which run over a mapped graph as well.  The
+#: directed kinds (custom dynamics) have no mapped form.
+SEAM_KINDS = ["plain", "lazy", "weighted"]
+CUSTOM_KINDS = [
     k
     for k in ALL_KINDS
-    if type(make_operator(k))._apply_block is MarkovOperator._apply_block
+    if type(make_operator(k))._apply_block is not MarkovOperator._apply_block
 ]
-CUSTOM_KINDS = [k for k in ALL_KINDS if k not in SEAM_KINDS]
 
 WALKS = [1, 2, 5, 10, 20]
 SOURCES = list(range(24))
+
+
+@pytest.fixture
+def on_kernel(tmp_path):
+    """``on_kernel(graph, kernel)``: the graph itself for ``"numpy"``,
+    a memory-mapped copy of it for ``"streaming"``."""
+    names = itertools.count()
+
+    def convert(graph, kernel):
+        if kernel == "numpy":
+            return graph
+        path = tmp_path / f"g{next(names)}.csr"
+        save_csr(graph, path)
+        return open_csr(path)
+
+    return convert
+
+
+def policy_for(kernel: str, **policy_kwargs) -> ExecutionPolicy:
+    if kernel == "streaming":
+        policy_kwargs.setdefault("memory_budget", STREAM_BUDGET)
+    return ExecutionPolicy(**policy_kwargs)
+
+
+def build_operator(kind: str, graph):
+    if kind == "plain":
+        return TransitionOperator(graph)
+    if kind == "lazy":
+        return TransitionOperator(graph, laziness=0.35)
+    if kind == "weighted":
+        return WeightedTransitionOperator(graph, jaccard_arc_weights(graph))
+    raise KeyError(kind)
 
 
 def _sources_for(op) -> list:
     return SOURCES[: min(len(SOURCES), op._num_states)]
 
 
-def sweep_curves(kind: str, backend: str, **policy_kwargs) -> np.ndarray:
-    op = make_operator(kind)
-    policy = ExecutionPolicy(backend=backend, **policy_kwargs)
+def sweep_curves(on_kernel, kind: str, kernel: str, **policy_kwargs) -> np.ndarray:
+    op = build_operator(kind, on_kernel(_er_graph(), kernel))
+    policy = policy_for(kernel, **policy_kwargs)
     return op.variation_curves(_sources_for(op), WALKS, policy=policy)
 
 
-def sweep_hitting(kind: str, backend: str, **policy_kwargs):
-    op = make_operator(kind)
-    policy = ExecutionPolicy(backend=backend, **policy_kwargs)
+def sweep_hitting(on_kernel, kind: str, kernel: str, **policy_kwargs):
+    op = build_operator(kind, on_kernel(_er_graph(), kernel))
+    policy = policy_for(kernel, **policy_kwargs)
     return op.hitting_times(_sources_for(op), 0.1, max_steps=500, policy=policy)
 
 
-# ----------------------------------------------------------------------
-# Registry contract
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert DEFAULT_BACKEND == "numpy"
-        assert set(ALL_BACKENDS) >= {"numpy", "float32", "streaming"}
-
-    def test_numerics(self):
-        assert backend_numeric("numpy") == "float64"
-        assert backend_numeric("streaming") == "float64"
-        assert backend_numeric("float32") == "float32"
-
-    def test_get_backend_unknown_raises_with_listing(self):
-        with pytest.raises(ConfigurationError, match="numpy"):
-            get_backend("does-not-exist")
-
-    def test_validate_backend_rejects_non_strings(self):
-        with pytest.raises(ConfigurationError):
-            validate_backend(42)
-
-    def test_register_rejects_duplicates_and_bad_numeric(self):
-        numpy_backend = get_backend("numpy")
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend(numpy_backend)
-        with pytest.raises(ConfigurationError):
-            register_backend(
-                SpmmBackend(
-                    name="bad-numeric",
-                    numeric="float16",
-                    factory=numpy_backend.factory,
-                    description="",
-                )
-            )
-        with pytest.raises(ConfigurationError):
-            register_backend("not a backend")
-
-    def test_register_and_replace_roundtrip(self):
-        numpy_backend = get_backend("numpy")
-        probe = SpmmBackend(
-            name="_harness_probe",
-            numeric="float64",
-            factory=numpy_backend.factory,
-            description="test-only clone of numpy",
-        )
-        try:
-            register_backend(probe)
-            assert "_harness_probe" in available_backends()
-            # replace=True allows re-registration under the same name.
-            register_backend(probe, replace=True)
-            op = make_operator("plain")
-            got = op.variation_curves(
-                SOURCES, WALKS, policy=ExecutionPolicy(backend="_harness_probe")
-            )
-            want = op.variation_curves(SOURCES, WALKS)
-            assert np.array_equal(got, want)
-        finally:
-            backends_mod._REGISTRY.pop("_harness_probe", None)
-
-    def test_policy_accepts_registered_rejects_unknown(self):
-        for name in ALL_BACKENDS:
-            assert ExecutionPolicy(backend=name).backend == name
-        with pytest.raises(ConfigurationError, match="unknown SpMM backend"):
-            ExecutionPolicy(backend="bogus")
+def in_memory_curves(kind: str) -> np.ndarray:
+    op = build_operator(kind, _er_graph())
+    return op.variation_curves(_sources_for(op), WALKS)
 
 
 # ----------------------------------------------------------------------
-# Golden suite under every backend
+# Golden suite under every kernel
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def golden_graphs():
@@ -180,99 +146,81 @@ def golden_fixture():
 
 
 class TestGoldenDifferential:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("name", ["karate", "petersen", "bridge", "er80"])
     def test_tvd_curves_against_committed_goldens(
-        self, golden_graphs, golden_fixture, name, backend
+        self, golden_graphs, golden_fixture, on_kernel, name, kernel
     ):
         golden = golden_fixture["graphs"][name]["tvd_curves"]
         want = np.asarray(golden["distances"], dtype=np.float64)
         got = measure_mixing(
-            golden_graphs[name],
+            on_kernel(golden_graphs[name], kernel),
             golden["walk_lengths"],
             sources=golden["sources"],
-            policy=ExecutionPolicy(backend=backend),
+            policy=policy_for(kernel),
         ).distances
-        atol = (
-            CURVE_ATOL
-            if backend_numeric(backend) == "float64"
-            else FLOAT32_CURVE_ATOL
-        )
         worst = np.abs(got - want).max()
-        assert worst <= atol, (
-            f"{name}/{backend}: drifted {worst:.3e} from golden (> {atol})"
+        assert worst <= CURVE_ATOL, (
+            f"{name}/{kernel}: drifted {worst:.3e} from golden (> {CURVE_ATOL})"
         )
 
-    @pytest.mark.parametrize("backend", FLOAT64_BACKENDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("name", ["karate", "petersen", "bridge", "er80"])
     def test_float64_backends_bit_identical_to_oracle(
-        self, golden_graphs, name, backend
+        self, golden_graphs, on_kernel, name, kernel
     ):
         graph = golden_graphs[name]
         oracle = measure_mixing(graph, GOLDEN_WALKS, sources=GOLDEN_SOURCES)
         got = measure_mixing(
-            graph,
+            on_kernel(graph, kernel),
             GOLDEN_WALKS,
             sources=GOLDEN_SOURCES,
-            policy=ExecutionPolicy(backend=backend),
+            policy=policy_for(kernel),
         )
         assert np.array_equal(got.distances, oracle.distances)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("name", ["karate", "er80"])
     def test_hitting_estimates_against_goldens(
-        self, golden_graphs, golden_fixture, name, backend
+        self, golden_graphs, golden_fixture, on_kernel, name, kernel
     ):
         golden = golden_fixture["graphs"][name]["estimate"]
         estimate = estimate_mixing_time(
-            golden_graphs[name],
+            on_kernel(golden_graphs[name], kernel),
             golden["epsilon"],
             sources=GOLDEN_SOURCES,
             max_steps=500,
-            policy=ExecutionPolicy(backend=backend),
+            policy=policy_for(kernel),
         )
         want = np.asarray(golden["per_source"], dtype=np.int64)
-        got = estimate.per_source
-        if backend_numeric(backend) == "float64":
-            assert np.array_equal(got, want)
-            assert estimate.walk_length == golden["walk_length"]
-        else:
-            assert np.all(np.abs(got - want) <= FLOAT32_TIME_SLACK)
+        assert np.array_equal(estimate.per_source, want)
+        assert estimate.walk_length == golden["walk_length"]
 
-    @pytest.mark.parametrize("backend", NON_DEFAULT_BACKENDS)
+    @pytest.mark.parametrize("kernel", ["streaming"])
     @pytest.mark.parametrize("kind", SEAM_KINDS)
-    def test_operator_zoo_seam_kinds(self, kind, backend):
-        oracle = sweep_curves(kind, "numpy")
-        got = sweep_curves(kind, backend)
-        if backend_numeric(backend) == "float64":
-            assert np.array_equal(got, oracle)
-        else:
-            worst = np.abs(got - oracle).max()
-            assert worst <= FLOAT32_CURVE_ATOL, (
-                f"{kind}/{backend}: float32 envelope violated ({worst:.3e})"
-            )
+    def test_operator_zoo_seam_kinds(self, on_kernel, kind, kernel):
+        got = sweep_curves(on_kernel, kind, kernel)
+        assert np.array_equal(got, in_memory_curves(kind))
 
-    @pytest.mark.parametrize("backend", NON_DEFAULT_BACKENDS)
     @pytest.mark.parametrize("kind", CUSTOM_KINDS)
-    def test_operator_zoo_custom_kinds_bypass_seam(self, kind, backend):
+    def test_operator_zoo_custom_kinds_bypass_seam(self, kind):
         # Custom dynamics (teleport, dangling mass) keep their own
-        # kernel under every backend — bit-identical, even float32.
-        oracle = sweep_curves(kind, "numpy")
-        got = sweep_curves(kind, backend)
+        # kernel under a memory budget — bit-identical.
+        op = make_operator(kind)
+        sources = _sources_for(op)
+        oracle = op.variation_curves(sources, WALKS)
+        got = op.variation_curves(
+            sources, WALKS, policy=ExecutionPolicy(memory_budget=STREAM_BUDGET)
+        )
         assert np.array_equal(got, oracle)
 
-    @pytest.mark.parametrize("backend", NON_DEFAULT_BACKENDS)
+    @pytest.mark.parametrize("kernel", ["streaming"])
     @pytest.mark.parametrize("kind", SEAM_KINDS)
-    def test_hitting_times_envelope(self, kind, backend):
-        oracle = sweep_hitting(kind, "numpy")
-        got = sweep_hitting(kind, backend)
-        if backend_numeric(backend) == "float64":
-            assert np.array_equal(got.times, oracle.times)
-            assert np.array_equal(got.final_distances, oracle.final_distances)
-        else:
-            assert np.all(np.abs(got.times - oracle.times) <= FLOAT32_TIME_SLACK)
-            converged_same = (got.times >= 0) == (oracle.times >= 0)
-            assert np.all(converged_same)
+    def test_hitting_times_envelope(self, on_kernel, kind, kernel):
+        oracle = sweep_hitting(on_kernel, kind, "numpy")
+        got = sweep_hitting(on_kernel, kind, kernel)
+        assert np.array_equal(got.times, oracle.times)
+        assert np.array_equal(got.final_distances, oracle.final_distances)
 
 
 # ----------------------------------------------------------------------
@@ -286,29 +234,29 @@ needs_pool = pytest.mark.skipif(
 
 
 class TestSerialEquivalence:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_chunk_boundaries_neutral(self, backend):
-        whole = sweep_curves("plain", backend)
-        chunked = sweep_curves("plain", backend, block_size=5)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_chunk_boundaries_neutral(self, on_kernel, kernel):
+        whole = sweep_curves(on_kernel, "plain", kernel)
+        chunked = sweep_curves(on_kernel, "plain", kernel, block_size=5)
         assert np.array_equal(whole, chunked)
 
     @needs_pool
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_process_pool_identity(self, backend):
-        serial = sweep_curves("plain", backend)
-        pooled = sweep_curves("plain", backend, workers=2)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_process_pool_identity(self, on_kernel, kernel):
+        serial = sweep_curves(on_kernel, "plain", kernel)
+        pooled = sweep_curves(on_kernel, "plain", kernel, workers=2)
         assert np.array_equal(serial, pooled)
 
     @needs_pool
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_thread_pool_identity(self, backend):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_thread_pool_identity(self, on_kernel, kernel):
         # Two caller threads fan out on the process pool at once, as the
         # threaded HTTP service's request handlers do.
-        serial = sweep_curves("plain", backend)
+        serial = sweep_curves(on_kernel, "plain", kernel)
         callers = ThreadPoolExecutor(max_workers=2)
         try:
             futures = [
-                callers.submit(sweep_curves, "plain", backend, workers=2)
+                callers.submit(sweep_curves, on_kernel, "plain", kernel, workers=2)
                 for _ in range(2)
             ]
             pooled = [future.result(timeout=120) for future in futures]
@@ -318,58 +266,34 @@ class TestSerialEquivalence:
             assert np.array_equal(serial, got)
 
     @needs_pool
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_process_pool_hitting_identity(self, backend):
-        serial = sweep_hitting("plain", backend)
-        pooled = sweep_hitting("plain", backend, workers=2)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_process_pool_hitting_identity(self, on_kernel, kernel):
+        serial = sweep_hitting(on_kernel, "plain", kernel)
+        pooled = sweep_hitting(on_kernel, "plain", kernel, workers=2)
         assert np.array_equal(serial.times, pooled.times)
         assert np.array_equal(serial.final_distances, pooled.final_distances)
 
     @needs_pool
     @pytest.mark.parametrize("kind", ["weighted", "lazy"])
-    def test_process_pool_identity_other_operators(self, kind):
-        serial = sweep_curves(kind, "streaming")
-        pooled = sweep_curves(kind, "streaming", workers=2)
+    def test_process_pool_identity_other_operators(self, on_kernel, kind):
+        serial = sweep_curves(on_kernel, kind, "streaming")
+        pooled = sweep_curves(on_kernel, kind, "streaming", workers=2)
         assert np.array_equal(serial, pooled)
+        assert np.array_equal(serial, in_memory_curves(kind))
 
 
 # ----------------------------------------------------------------------
-# Fault tolerance: checkpoints compose with the backend seam
+# Fault tolerance: checkpoints compose with either kernel
 # ----------------------------------------------------------------------
 class TestFaultTolerance:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_checkpoint_resume_identity(self, backend, tmp_path):
-        policy = ExecutionPolicy(
-            backend=backend, checkpoint_dir=str(tmp_path), block_size=5
-        )
-        first = sweep_curves("plain", backend, checkpoint_dir=str(tmp_path), block_size=5)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_checkpoint_resume_identity(self, on_kernel, kernel, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        first = sweep_curves(on_kernel, "plain", kernel, checkpoint_dir=ckpt, block_size=5)
         # Second run resumes from completed shards — identical output.
-        second = sweep_curves("plain", backend, checkpoint_dir=str(tmp_path), block_size=5)
+        second = sweep_curves(on_kernel, "plain", kernel, checkpoint_dir=ckpt, block_size=5)
         assert np.array_equal(first, second)
-        assert policy.checkpoint_dir is not None  # sanity: resumable path taken
-
-    def test_float64_backends_share_sweep_fingerprints(self):
-        from repro.core.parallel import _operator_fingerprint
-
-        op = make_operator("plain")
-        ref = op.stationary()
-        args = (
-            "curves", "plain", op._matrix, {}, ref,
-            np.asarray(SOURCES), np.asarray(WALKS),
-        )
-        base = _operator_fingerprint(*args, backend="numpy")
-        assert _operator_fingerprint(*args, backend="streaming") == base
-        assert _operator_fingerprint(*args, backend="float32") != base
-
-    def test_float32_checkpoints_not_served_to_each_other(self, tmp_path):
-        # A float64 sweep leaves shards behind; a float32 sweep over the
-        # same checkpoint dir must recompute (different fingerprint) and
-        # land inside its envelope rather than replaying float64 rows.
-        f64 = sweep_curves("plain", "numpy", checkpoint_dir=str(tmp_path))
-        f32 = sweep_curves("plain", "float32", checkpoint_dir=str(tmp_path))
-        f32_clean = sweep_curves("plain", "float32")
-        assert np.array_equal(f32, f32_clean)
-        assert np.abs(f32 - f64).max() <= FLOAT32_CURVE_ATOL
+        assert np.array_equal(first, in_memory_curves("plain"))
 
 
 # ----------------------------------------------------------------------
@@ -405,18 +329,17 @@ class TestUniformStart:
         us = measure_mixing(graph, GOLDEN_WALKS, mode="uniform_start")
         assert np.all(us.distances[0] <= pm.worst_case() + 1e-15)
 
-    def test_uniform_start_estimate_and_backends(self, golden_graphs):
+    def test_uniform_start_estimate_and_backends(self, golden_graphs, on_kernel):
         graph = golden_graphs["er80"]
         est = estimate_mixing_time(graph, 0.1, mode="uniform_start")
         assert est.sources.tolist() == [-1]
         assert est.per_source.shape == (1,)
         assert est.walk_length >= 0
-        for backend in FLOAT64_BACKENDS:
-            again = estimate_mixing_time(
-                graph, 0.1, mode="uniform_start",
-                policy=ExecutionPolicy(backend=backend),
-            )
-            assert again.walk_length == est.walk_length
+        again = estimate_mixing_time(
+            on_kernel(graph, "streaming"), 0.1, mode="uniform_start",
+            policy=policy_for("streaming"),
+        )
+        assert again.walk_length == est.walk_length
 
     def test_unknown_mode_rejected(self, golden_graphs):
         with pytest.raises(ConfigurationError, match="unknown measurement mode"):
@@ -521,18 +444,15 @@ class TestNonBacktrackingPinned:
         )
         assert ht.times.tolist() == [3, 3, 2, 3, 7, 2]
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_backends_apply_to_arc_space(self, golden_graphs, backend):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_backends_apply_to_arc_space(self, golden_graphs, on_kernel, kernel):
         graph = golden_graphs["er80"]
         oracle = non_backtracking_curves(graph, GOLDEN_SOURCES, GOLDEN_WALKS)
         got = non_backtracking_curves(
-            graph, GOLDEN_SOURCES, GOLDEN_WALKS,
-            policy=ExecutionPolicy(backend=backend),
+            on_kernel(graph, kernel), GOLDEN_SOURCES, GOLDEN_WALKS,
+            policy=policy_for(kernel),
         )
-        if backend_numeric(backend) == "float64":
-            assert np.array_equal(got, oracle)
-        else:
-            assert np.abs(got - oracle).max() <= FLOAT32_CURVE_ATOL
+        assert np.array_equal(got, oracle)
 
     def test_mode_plumbing_through_measure_mixing(self, golden_graphs):
         graph = golden_graphs["er80"]

@@ -39,7 +39,7 @@ from repro.core import operators
 from repro.core.operators import HittingTimes
 from repro.errors import ConvergenceError
 from repro.generators import erdos_renyi_gnm, two_community_bridge
-from repro.graph import DiGraph, Graph, largest_connected_component
+from repro.graph import DiGraph, Graph, largest_connected_component, open_csr, save_csr
 from repro.obs import OBS
 
 
@@ -423,17 +423,23 @@ _CHECK_SCENARIOS = {
             src, eps, max_steps=steps, reference=_far_reference(op)
         ),
     ),
-    **{
-        backend: (
-            functools.partial(make_operator, "weighted"),
-            lambda op, src, eps, steps, backend=backend: op.hitting_times(
-                src, eps, max_steps=steps,
-                policy=ExecutionPolicy(backend=backend, memory_budget=4096),
-            ),
-        )
-        for backend in ("float32", "streaming")
-    },
+    # No factory: the ``mapped_plain`` fixture's operator, which streams
+    # stripes planned for the budget.
+    "streaming": (
+        None,
+        lambda op, src, eps, steps: op.hitting_times(
+            src, eps, max_steps=steps, policy=ExecutionPolicy(memory_budget=4096)
+        ),
+    ),
 }
+
+
+@pytest.fixture(scope="module")
+def mapped_plain(tmp_path_factory):
+    """The plain walk over ``_er_graph()`` opened memory-mapped."""
+    path = tmp_path_factory.mktemp("mapped") / "er.csr"
+    save_csr(_er_graph(), path)
+    return TransitionOperator(open_csr(path))
 
 
 def _hitting_with_check_every(every, run, op, sources, epsilon, max_steps):
@@ -451,10 +457,10 @@ class TestCertifiedChecks:
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
-    def test_check_interval_never_changes_hitting_times(self, data):
+    def test_check_interval_never_changes_hitting_times(self, data, mapped_plain):
         name = data.draw(st.sampled_from(sorted(_CHECK_SCENARIOS)), label="scenario")
         make, run = _CHECK_SCENARIOS[name]
-        op = make()
+        op = mapped_plain if make is None else make()
         sources = data.draw(
             st.lists(st.integers(0, op.num_states - 1), min_size=1, max_size=9),
             label="sources",
@@ -482,20 +488,13 @@ class TestCertifiedChecks:
     def test_threshold_for_stationary_reference_is_tight(self):
         op = make_operator("plain")
         step = operators._rowless(op._apply_block)
-        threshold = operators._replay_threshold(step, op.stationary(), 0.1, 4, "numpy")
+        threshold = operators._replay_threshold(step, op.stationary(), 0.1, 4)
         assert 0.1 < threshold < 0.1 + 1e-9
-
-    def test_float32_threshold_is_wider(self):
-        op = make_operator("plain")
-        step = operators._rowless(op._apply_block)
-        wide = operators._replay_threshold(step, op.stationary(), 0.1, 4, "float32")
-        tight = operators._replay_threshold(step, op.stationary(), 0.1, 4, "numpy")
-        assert tight < wide < 0.11
 
     def test_far_reference_checks_every_step(self):
         op = make_operator("plain")
         step = operators._rowless(op._apply_block)
-        assert operators._replay_threshold(step, _far_reference(op), 0.1, 4, "numpy") is None
+        assert operators._replay_threshold(step, _far_reference(op), 0.1, 4) is None
 
     def test_retirement_events_carry_true_hitting_steps(self):
         op = make_operator("plain")

@@ -1,7 +1,7 @@
 """Out-of-core operator path: bit-identity against the in-memory oracle.
 
 The contract pinned here is the strongest the repo makes: the striped
-transition matrix and the ``streaming`` backend must reproduce the
+transition matrix and its streaming stripe kernel must reproduce the
 scipy-constructed operator **bit for bit** — across laziness, stripe
 budgets, workers, and checkpoint resume.  Tolerances
 would hide accumulation-order drift, so every comparison is
@@ -13,11 +13,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.backends import get_backend, stripe_bounds
-from repro.core.outofcore import StripedTransitionMatrix
+from repro.core.outofcore import StripedTransitionMatrix, stripe_bounds
 from repro.core.parallel import describe_operator, parallel_backend_available
 from repro.core.runtime import ExecutionPolicy
 from repro.core.walks import TransitionOperator
+from repro.generators.chunked import chunked_community_csr
 from repro.graph import open_csr, save_csr
 
 needs_pool = pytest.mark.skipif(
@@ -69,15 +69,16 @@ class TestStripeIdentity:
 @pytest.mark.parametrize("laziness", [0.0, 0.25])
 @pytest.mark.parametrize("budget", [None, 2048, 1 << 20])
 def test_streaming_backend_bit_identical(mapped_pair, laziness, budget):
-    """Streaming sweeps equal the numpy oracle at every stripe budget —
-    on the in-memory operator and on the mapped one."""
+    """Sweeps under any memory budget equal the unbudgeted in-memory
+    oracle — on the in-memory operator and on the mapped one, which
+    streams stripes planned for the budget."""
     graph, mapped = mapped_pair
     sources = np.arange(0, graph.num_nodes, 3, dtype=np.int64)
     walks = [1, 2, 5, 9]
     oracle = TransitionOperator(graph, laziness=laziness).variation_curves(
         sources, walks
     )
-    policy = ExecutionPolicy(backend="streaming", memory_budget=budget)
+    policy = ExecutionPolicy(memory_budget=budget)
     for operand in mapped_pair:
         op = TransitionOperator(operand, laziness=laziness)
         assert np.array_equal(op.variation_curves(sources, walks, policy=policy), oracle)
@@ -91,19 +92,60 @@ def test_hitting_times_bit_identical(mapped_pair):
         sources,
         0.2,
         max_steps=40,
-        policy=ExecutionPolicy(backend="streaming", memory_budget=2048),
+        policy=ExecutionPolicy(memory_budget=2048),
     )
     assert np.array_equal(oracle.times, got.times)
     assert np.array_equal(oracle.final_distances, got.final_distances)
 
 
 def test_streaming_prepare_rejects_nothing_small(mapped_pair):
-    """The backend handles a single-stripe matrix (budget >= nnz)."""
+    """The stripe kernel handles a single-stripe matrix (budget >= nnz)."""
     _graph, mapped = mapped_pair
     striped = StripedTransitionMatrix(mapped)
-    step = get_backend("streaming").prepare(striped, memory_budget=1 << 30)
+    step = striped.budgeted_step(1 << 30)
+    assert striped.budgeted_step(1 << 30) is step  # memoised per budget
     x = np.eye(3, mapped.num_nodes)
     assert np.array_equal(step(x), x @ striped)
+
+
+def test_memory_budget_alone_stripes_mapped_graph(tmp_path, monkeypatch):
+    """``memory_budget`` by itself plans a mapped operand's stripes: no
+    stripe loaded exceeds the budget's plan, and the curves and hitting
+    times are the materialised operator's bit for bit."""
+    mapped = chunked_community_csr(
+        tmp_path / "c.csr", 3000, num_communities=6, mu_frac=0.05, seed=7,
+        chunk_nodes=1024,
+    )
+    budget = 64 << 10
+    original = StripedTransitionMatrix.csc_stripe
+    plan = stripe_bounds(StripedTransitionMatrix(mapped).csc_indptr, budget)
+    planned = max(
+        sum(a.nbytes for a in original(StripedTransitionMatrix(mapped), lo, hi))
+        for lo, hi in zip(plan[:-1], plan[1:])
+    )
+    assert len(plan) > 2 and planned <= budget
+
+    loaded = []
+
+    def recording(self, lo, hi):
+        out = original(self, lo, hi)
+        loaded.append(sum(a.nbytes for a in out))
+        return out
+
+    monkeypatch.setattr(StripedTransitionMatrix, "csc_stripe", recording)
+    sources = np.arange(0, mapped.num_nodes, 150, dtype=np.int64)
+    walks = [1, 3, 6]
+    policy = ExecutionPolicy(memory_budget=budget)
+    op = TransitionOperator(mapped)
+    curves = op.variation_curves(sources, walks, policy=policy)
+    hitting = op.hitting_times(sources, 0.3, max_steps=12, policy=policy)
+    assert loaded and max(loaded) <= planned
+
+    oracle = TransitionOperator(mapped.materialize())
+    assert np.array_equal(curves, oracle.variation_curves(sources, walks))
+    want = oracle.hitting_times(sources, 0.3, max_steps=12)
+    assert np.array_equal(hitting.times, want.times)
+    assert np.array_equal(hitting.final_distances, want.final_distances)
 
 
 class TestDescribeAndPublish:
@@ -140,7 +182,7 @@ class TestDescribeAndPublish:
                 sources,
                 walks,
                 reference=worker_ref,
-                policy=ExecutionPolicy(backend="streaming", memory_budget=4096),
+                policy=ExecutionPolicy(memory_budget=4096),
             )
         assert np.array_equal(got, oracle_op.variation_curves(sources, walks))
 
@@ -154,7 +196,7 @@ def test_parallel_sweep_bit_identical(mapped_pair, caller):
     sources = np.arange(0, graph.num_nodes, 2, dtype=np.int64)
     walks = [1, 2, 6]
     oracle = TransitionOperator(graph).variation_curves(sources, walks)
-    policy = ExecutionPolicy(workers=2, backend="streaming", memory_budget=4096)
+    policy = ExecutionPolicy(workers=2, memory_budget=4096)
     op = TransitionOperator(mapped)
     if caller == "threads":
         callers = ThreadPoolExecutor(max_workers=1)
@@ -169,7 +211,7 @@ def test_parallel_sweep_bit_identical(mapped_pair, caller):
 
 
 def test_checkpoint_resume_bit_identical(mapped_pair, tmp_path):
-    """A streaming sweep checkpointed, interrupted, and resumed equals
+    """A mapped sweep checkpointed, interrupted, and resumed equals
     the uninterrupted oracle bit for bit."""
     graph, mapped = mapped_pair
     sources = np.arange(0, graph.num_nodes, 2, dtype=np.int64)
@@ -179,16 +221,12 @@ def test_checkpoint_resume_bit_identical(mapped_pair, tmp_path):
     first = TransitionOperator(mapped).variation_curves(
         sources,
         walks,
-        policy=ExecutionPolicy(
-            checkpoint_dir=ckpt, backend="streaming", memory_budget=4096
-        ),
+        policy=ExecutionPolicy(checkpoint_dir=ckpt, memory_budget=4096),
     )
     resumed = TransitionOperator(mapped).variation_curves(
         sources,
         walks,
-        policy=ExecutionPolicy(
-            checkpoint_dir=ckpt, resume=True, backend="streaming", memory_budget=4096
-        ),
+        policy=ExecutionPolicy(checkpoint_dir=ckpt, resume=True, memory_budget=4096),
     )
     assert np.array_equal(first, oracle)
     assert np.array_equal(resumed, oracle)

@@ -4,11 +4,12 @@
 grid of a tiny fixed-seed sweep (two strategies x three budgets x all
 six defenses).  The suite re-runs that sweep
 
-* serially and at 2 workers — both must reproduce the
-  pinned counts bit-for-bit, and
-* under every registered SpMM backend — float64 backends bit-identical,
-  float32 backends within the pinned count envelope (reduced precision
-  may flip a near-tie in the SybilRank ranking, never more).
+* serially and at 2 workers, and
+* per SpMM kernel: on the in-memory graph (scipy's ``block @ csr``) and
+  on the same graph opened memory-mapped under a memory budget (the
+  streaming stripe kernel)
+
+— every run must reproduce the pinned counts bit-for-bit.
 
 Regenerate (only after an intentional semantic change) with the
 generator snippet in the JSON file's git history, and review the diff of
@@ -21,15 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import (
-    DEFAULT_BACKEND,
-    ExecutionPolicy,
-    available_backends,
-    backend_numeric,
-)
+from repro.core import ExecutionPolicy
 from repro.experiments import ADVERSARIAL_DEFENSES, AdversarialKnobs, adversarial_sweep
 from repro.generators import erdos_renyi_gnm
-from repro.graph import largest_connected_component
+from repro.graph import largest_connected_component, open_csr, save_csr
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "adversarial_golden.json"
 
@@ -44,11 +40,14 @@ def pinned_counts(golden):
     return np.asarray(golden["counts"], dtype=np.float64)
 
 
-def run_pinned_sweep(golden, policy=None):
+def run_pinned_sweep(golden, policy=None, mapped_dir=None):
     spec = golden["graph"]
     graph, _ = largest_connected_component(
         erdos_renyi_gnm(spec["n"], spec["m"], seed=spec["seed"])
     )
+    if mapped_dir is not None:
+        save_csr(graph, mapped_dir / "honest.csr")
+        graph = open_csr(mapped_dir / "honest.csr")
     return adversarial_sweep(
         graph,
         knobs=AdversarialKnobs(**golden["knobs"]),
@@ -83,16 +82,12 @@ def test_two_workers_match_golden(golden, pinned_counts):
     assert np.array_equal(result.counts, pinned_counts)
 
 
-@pytest.mark.parametrize("backend", sorted(available_backends()))
-def test_every_backend_reproduces_golden(backend, golden, pinned_counts):
-    result = run_pinned_sweep(golden, policy=ExecutionPolicy(backend=backend))
-    if backend == DEFAULT_BACKEND or backend_numeric(backend) == "float64":
-        assert np.array_equal(result.counts, pinned_counts), backend
-        return
-    # float32: suspect totals are exact; accepted counts may drift by at
-    # most the pinned envelope (a flipped near-tie in a ranking).
-    tolerance = golden["float32_count_tolerance"]
-    assert np.array_equal(result.counts[..., 0], pinned_counts[..., 0])
-    assert np.array_equal(result.counts[..., 2], pinned_counts[..., 2])
-    drift = np.abs(result.counts[..., (1, 3)] - pinned_counts[..., (1, 3)])
-    assert drift.max() <= tolerance, f"{backend}: max count drift {drift.max()}"
+@pytest.mark.parametrize("backend", ["numpy", "streaming"])
+def test_every_backend_reproduces_golden(backend, golden, pinned_counts, tmp_path):
+    if backend == "numpy":
+        result = run_pinned_sweep(golden)
+    else:
+        result = run_pinned_sweep(
+            golden, policy=ExecutionPolicy(memory_budget=2048), mapped_dir=tmp_path
+        )
+    assert np.array_equal(result.counts, pinned_counts), backend

@@ -50,12 +50,22 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "workers" in capsys.readouterr().err
 
-    def test_backend_flag(self):
-        args = cli.build_parser().parse_args(["fig1", "--backend", "streaming"])
-        assert args.backend == "streaming"
-        # Default is None: the policy's own default ("numpy") applies,
-        # so omitting the flag never overrides config-provided policies.
-        assert cli.build_parser().parse_args(["fig1"]).backend is None
+    def test_memory_budget_suffixes(self):
+        parse = cli.build_parser().parse_args
+        assert parse(["fig1", "--memory-budget", "64K"]).memory_budget == 64 << 10
+        assert parse(["fig1", "--memory-budget", "1.5m"]).memory_budget == 3 << 19
+        assert parse(["fig1"]).memory_budget is None
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e400K", "0", "-1M", "lots"])
+    def test_invalid_memory_budget_is_usage_error(self, bad, capsys):
+        # A non-finite budget used to escape argparse as an
+        # OverflowError traceback instead of the exit-2 usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["list", f"--memory-budget={bad}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "memory budget" in err
+        assert "Traceback" not in err
 
 
 class TestExitCodes:
@@ -100,14 +110,13 @@ class TestExitCodes:
 
     def test_unknown_backend_is_2(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.EXPERIMENTS, "fig1", lambda c: "")
-        # An unregistered backend name passes argparse (free-form so
-        # plugins can register their own) but fails ExecutionPolicy
-        # validation → usage error with the registered names listed.
-        assert cli.main(["fig1", "--backend", "bogus"]) == 2
+        # The operand picks the SpMM kernel; there is no --backend flag,
+        # so any value is an unrecognised argument → usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fig1", "--backend", "bogus"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "ConfigurationError" in err
-        assert "unknown SpMM backend" in err
-        assert "numpy" in err
+        assert "unrecognized arguments: --backend" in err
         assert "Traceback" not in err
 
     def test_unexpected_exceptions_still_propagate(self, monkeypatch):
@@ -156,20 +165,6 @@ class TestPolicyPlumbing:
         assert policy.resume is False
         assert policy.max_retries == 4
         assert policy.shard_timeout == 12.0
-
-    def test_backend_flag_reaches_config_policy(self, monkeypatch):
-        seen = {}
-
-        def fake(config):
-            seen["policy"] = config.execution_policy
-            return ""
-
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig1", fake)
-        assert cli.main(["fig1", "--backend", "float32"]) == 0
-        assert seen["policy"].backend == "float32"
-        # Omitted flag → policy default, not an explicit override.
-        assert cli.main(["fig1"]) == 0
-        assert seen["policy"].backend == "numpy"
 
 
 class TestMain:

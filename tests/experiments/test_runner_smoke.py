@@ -30,9 +30,9 @@ from repro.experiments import (
     run_sampling_bias_ablation,
     run_with_manifest,
 )
-from repro.core import DEFAULT_BACKEND, ExecutionPolicy, available_backends
+from repro.core import ExecutionPolicy
 from repro.generators import erdos_renyi_gnm
-from repro.graph import largest_connected_component
+from repro.graph import largest_connected_component, open_csr, save_csr
 from repro.obs import MANIFEST_SCHEMA, validate_run_manifest
 
 # ----------------------------------------------------------------------
@@ -99,8 +99,7 @@ class TinyConfig(ExperimentConfig):
         return (0, 2, 5)
 
 
-def _tiny_config(workers, backend=None):
-    knobs = {} if backend is None else {"backend": backend}
+def _tiny_config(workers, **knobs):
     return TinyConfig(
         mode="fast",
         seed=123,
@@ -111,15 +110,38 @@ def _tiny_config(workers, backend=None):
     )
 
 
-@pytest.fixture
-def tiny_datasets(monkeypatch):
-    """Swap every experiments-module dataset accessor for tiny fakes."""
+def _swap_datasets(monkeypatch, load_cached, generate):
     for modinfo in pkgutil.iter_modules(experiments_pkg.__path__):
         module = importlib.import_module(f"repro.experiments.{modinfo.name}")
         if hasattr(module, "load_cached"):
-            monkeypatch.setattr(module, "load_cached", _fake_load_cached)
+            monkeypatch.setattr(module, "load_cached", load_cached)
         if hasattr(module, "generate"):
-            monkeypatch.setattr(module, "generate", _fake_generate)
+            monkeypatch.setattr(module, "generate", generate)
+
+
+@pytest.fixture
+def tiny_datasets(monkeypatch):
+    """Swap every experiments-module dataset accessor for tiny fakes."""
+    _swap_datasets(monkeypatch, _fake_load_cached, _fake_generate)
+
+
+def _swap_to_mapped(monkeypatch, directory):
+    """Serve the tiny fakes opened memory-mapped from ``.csr`` copies
+    under ``directory``; returns the list of graphs served."""
+    served = []
+
+    def mapped(graph):
+        path = directory / f"g{len(served)}.csr"
+        save_csr(graph, path)
+        served.append(open_csr(path))
+        return served[-1]
+
+    _swap_datasets(
+        monkeypatch,
+        lambda name, **kw: mapped(_fake_load_cached(name, **kw)),
+        lambda spec, **kw: mapped(_fake_generate(spec, **kw)),
+    )
+    return served
 
 
 # ----------------------------------------------------------------------
@@ -162,18 +184,22 @@ def test_runner_smoke_serial_vs_parallel(name, tiny_datasets, tmp_path):
     assert serial_manifest["experiment"] == on_disk["experiment"]
 
 
-@pytest.mark.parametrize("backend", sorted(available_backends()))
-def test_fig3_runner_backend_serial_vs_parallel(backend, tiny_datasets):
-    """The fig3 runner under every SpMM backend, workers 1 vs 2: worker
-    count never changes rendered output, and float64 backends reproduce
-    the numpy-backed rendering character for character."""
+@pytest.mark.parametrize("backend", ["numpy", "streaming"])
+def test_fig3_runner_backend_serial_vs_parallel(
+    backend, tiny_datasets, monkeypatch, tmp_path
+):
+    """The fig3 runner per SpMM kernel, workers 1 vs 2: the rendered
+    output never changes.  ``streaming`` runs over the tiny graphs
+    opened memory-mapped, under a memory budget, and must reproduce the
+    in-memory rendering character for character."""
     runner = EXPERIMENTS["fig3"]
-    serial = runner(_tiny_config(workers=1, backend=backend))
-    parallel = runner(_tiny_config(workers=2, backend=backend))
-    assert parallel == serial
-    if backend != DEFAULT_BACKEND:
-        from repro.core import backend_numeric
-
-        if backend_numeric(backend) == "float64":
-            oracle = runner(_tiny_config(workers=1, backend=DEFAULT_BACKEND))
-            assert serial == oracle
+    oracle = runner(_tiny_config(workers=1))
+    knobs = {}
+    if backend == "streaming":
+        served = _swap_to_mapped(monkeypatch, tmp_path)
+        knobs = {"memory_budget": 2048}
+    serial = runner(_tiny_config(workers=1, **knobs))
+    parallel = runner(_tiny_config(workers=2, **knobs))
+    assert parallel == serial == oracle
+    if backend == "streaming":
+        assert served and all(graph.is_memmap for graph in served)

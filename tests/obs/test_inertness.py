@@ -257,15 +257,22 @@ def test_runtime_checkpoint_counters_recorded(obs, tmp_path):
     assert not any(name.startswith("runtime.") for name in plain)
 
 
-@pytest.mark.parametrize("backend", ["streaming", "float32"])
-def test_backend_sweeps_bit_identical(obs, backend):
-    """The SpMM backend seam is telemetry-inert: each backend produces
-    the same bits with telemetry off and on."""
+@pytest.mark.parametrize("backend", ["streaming"])
+def test_backend_sweeps_bit_identical(obs, backend, er_medium, tmp_path):
+    """The streaming stripe kernel is telemetry-inert: a sweep over the
+    memory-mapped graph produces the same bits with telemetry off and
+    on."""
+    from repro.core.walks import TransitionOperator
+    from repro.graph import open_csr, save_csr
+
+    save_csr(er_medium, tmp_path / "g.csr")
+    mapped = open_csr(tmp_path / "g.csr")
+
     def run():
-        op = make_operator("plain")
+        op = TransitionOperator(mapped)
         sources = np.arange(op.num_states, dtype=np.int64)
         return op.variation_curves(
-            sources, [1, 2, 5, 9], policy=ExecutionPolicy(backend=backend)
+            sources, [1, 2, 5, 9], policy=ExecutionPolicy(memory_budget=4096)
         )
 
     off = _with_flag(obs, False, run)
@@ -273,29 +280,29 @@ def test_backend_sweeps_bit_identical(obs, backend):
     assert np.array_equal(off, on)
 
 
-def test_backend_counters_recorded(obs, er_medium):
-    """Vacuity guard: a backend-driven sweep must record the new
-    ``core.backend.*`` counters, and the default numpy path none."""
+def test_backend_counters_recorded(obs, er_medium, tmp_path):
+    """Vacuity guard: the operand picks the kernel.  A sweep over the
+    memory-mapped graph records ``core.backend.streaming.*`` stripe
+    traffic with no policy at all; the in-memory sweep records no
+    ``core.backend.*`` counter."""
     from repro.core.walks import TransitionOperator
+    from repro.graph import open_csr, save_csr
 
-    # A fresh operator: the zoo's lru-cached instance may already hold a
-    # memoised prepared step, which would skip the ``prepares`` counter.
-    op = TransitionOperator(er_medium)
-    sources = np.arange(min(12, op.num_states), dtype=np.int64)
+    save_csr(er_medium, tmp_path / "g.csr")
+    sources = np.arange(12, dtype=np.int64)
 
     obs.reset()
     obs.enable()
-    op.variation_curves(sources, [1, 2], policy=ExecutionPolicy(backend="streaming"))
+    TransitionOperator(open_csr(tmp_path / "g.csr")).variation_curves(sources, [1, 2])
     snap = obs.snapshot()["counters"]
     obs.disable()
     obs.reset()
-    assert snap["core.backend.prepares"] >= 1
-    assert snap["core.backend.steps.streaming"] >= 1
-    assert snap["core.backend.rows"] > 0
+    assert snap["core.backend.streaming.stripes"] >= 1
+    assert snap["core.backend.streaming.bytes_loaded"] > 0
 
     obs.reset()
     obs.enable()
-    op.variation_curves(sources, [1, 2])  # default numpy kernel: no seam
+    TransitionOperator(er_medium).variation_curves(sources, [1, 2])
     plain = obs.snapshot()["counters"]
     obs.disable()
     obs.reset()
@@ -445,7 +452,7 @@ def test_streaming_backend_bit_identical(obs, er_medium, tmp_path):
     save_csr(er_medium, path)
     mapped = open_csr(path)
     sources = np.arange(0, er_medium.num_nodes, 3, dtype=np.int64)
-    policy = ExecutionPolicy(backend="streaming", memory_budget=4096)
+    policy = ExecutionPolicy(memory_budget=4096)
 
     for operand in (er_medium, mapped):
         def run():
@@ -485,7 +492,7 @@ def test_storage_counters_recorded(obs, er_medium, tmp_path):
 
 
 def test_streaming_counters_recorded(obs, er_medium, tmp_path):
-    """The streaming backend's enabled arm must record stripe traffic."""
+    """The streaming kernel's enabled arm must record stripe traffic."""
     from repro.core.walks import TransitionOperator
     from repro.graph import open_csr, save_csr
 
@@ -499,7 +506,7 @@ def test_streaming_counters_recorded(obs, er_medium, tmp_path):
     op.variation_curves(
         np.arange(0, er_medium.num_nodes, 4, dtype=np.int64),
         [1, 3],
-        policy=ExecutionPolicy(backend="streaming", memory_budget=2048),
+        policy=ExecutionPolicy(memory_budget=2048),
     )
     snap = obs.snapshot()["counters"]
     obs.disable()

@@ -1,17 +1,16 @@
-"""Backend seam × serving layer: cache identity and key discipline.
+"""Kernel choice × serving layer: cache identity and key discipline.
 
-Pinned design choices under test:
+The operand picks the SpMM kernel: an in-memory graph steps with
+scipy's ``block @ csr``, the same graph opened as a
+:class:`~repro.graph.storage.MemmapGraph` with the streaming stripe
+kernel.  Pinned design choices under test:
 
-* **Float64 backends share cache entries.**  The fingerprint covers
-  content, never execution — and every float64 backend is bit-identical
-  to the numpy oracle, so an answer computed under ``streaming`` *is* the
-  numpy answer and may be served from the same key.
-* **Float32 keys separately.**  A reduced-precision backend genuinely
-  changes the numbers; the engine suffixes the finished key with
-  ``:float32`` so those answers can never be served to (or poisoned by)
-  a float64 client.
-* **Serving regime neutrality holds per backend** — coalesced ==
-  direct == serial under each backend, same as the PR-6 identity suite.
+* **Kernels share cache entries.**  The fingerprint covers content,
+  never execution — and both kernels give the same bits, so an answer
+  computed over the mapped graph *is* the in-memory answer and may be
+  served from the same key.
+* **Serving regime neutrality holds per kernel** — coalesced ==
+  direct == serial under each, same as the identity suite.
 * **Mode vocabulary** — ``uniform_start`` / ``non_backtracking``
   queries key by mode, and uniform-start requests share one cache entry
   regardless of the requested source.
@@ -23,29 +22,53 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    FLOAT32_CURVE_ATOL,
     ExecutionPolicy,
     TransitionOperator,
-    available_backends,
-    backend_numeric,
     measure_mixing,
     non_backtracking_hitting_times,
 )
+from repro.core.outofcore import StripedTransitionMatrix
 from repro.errors import ConfigurationError
+from repro.graph import open_csr, save_csr
 from repro.service import OperatorRegistry, QueryEngine, ResultCache
 from repro.service.batch import hitting_times_via_service
 from repro.service.engine import MixingTimeQuery, VariationCurveQuery
 
-ALL_BACKENDS = list(available_backends())
-FLOAT64_BACKENDS = [b for b in ALL_BACKENDS if backend_numeric(b) == "float64"]
+KERNELS = ["numpy", "streaming"]
+
+#: Memory budget of the streaming engines: the test graphs stream in
+#: several stripes.
+STREAM_BUDGET = 2048
 
 SOURCES = [0, 3, 7, 11, 19]
 WALKS = [1, 2, 4, 8, 16]
 EPSILON = 0.25
 
 
-def _engine(loader, backend=None, **kwargs):
-    policy = None if backend is None else ExecutionPolicy(backend=backend)
+@pytest.fixture
+def mapped(graphs, tmp_path):
+    """Every service test graph, saved and reopened memory-mapped."""
+    out = {}
+    for name, graph in graphs.items():
+        path = tmp_path / f"{name}.csr"
+        save_csr(graph, path)
+        out[name] = open_csr(path)
+    return out
+
+
+@pytest.fixture
+def kernel_setup(loader, mapped):
+    """``kernel_setup(kernel) -> (loader, policy)`` for one kernel."""
+
+    def setup(kernel):
+        if kernel == "numpy":
+            return loader, None
+        return mapped.__getitem__, ExecutionPolicy(memory_budget=STREAM_BUDGET)
+
+    return setup
+
+
+def _engine(loader, policy=None, **kwargs):
     return QueryEngine(
         OperatorRegistry(capacity=3, loader=loader),
         ResultCache(max_entries=64),
@@ -55,91 +78,52 @@ def _engine(loader, backend=None, **kwargs):
 
 
 class TestFloat64KeySharing:
-    def test_float64_backends_share_cache_entries(self, loader, graphs):
-        """An answer computed under one float64 backend is a cache hit
-        for every other float64 backend (including the default)."""
+    def test_float64_backends_share_cache_entries(self, loader, graphs, kernel_setup):
+        """An answer computed over the mapped graph is a cache hit for an
+        engine over the in-memory graph."""
         batch = measure_mixing(graphs["era"], WALKS, sources=SOURCES).distances
-        with _engine(loader, backend="streaming") as warm:
+        with _engine(*kernel_setup("streaming")) as warm:
             first = warm.variation_curve("era", SOURCES, WALKS)
+            with warm.registry.acquire("era") as lease:
+                assert isinstance(lease.operator.matrix(), StripedTransitionMatrix)
             assert not first.cache_hit
             assert np.array_equal(np.asarray(first.value), batch)
-            shared_cache = warm.cache
-            # A numpy-backed engine over the *same cache* hits the
-            # streaming-computed entry: same fingerprint, same bits.
+            # An in-memory engine over the *same cache* hits the
+            # mapped-computed entry: same fingerprint, same bits.
             with QueryEngine(
-                OperatorRegistry(capacity=3, loader=loader),
-                shared_cache,
-                policy=ExecutionPolicy(backend="numpy"),
+                OperatorRegistry(capacity=3, loader=loader), warm.cache
             ) as default:
                 hit = default.variation_curve("era", SOURCES, WALKS)
                 assert hit.cache_hit
                 assert hit.fingerprint == first.fingerprint
                 assert np.array_equal(np.asarray(hit.value), batch)
 
-    @pytest.mark.parametrize("backend", FLOAT64_BACKENDS)
-    def test_fingerprints_backend_invariant(self, loader, backend):
-        with _engine(loader, backend=backend) as eng:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fingerprints_backend_invariant(self, loader, kernel_setup, kernel):
+        with _engine(*kernel_setup(kernel)) as eng:
             fp = eng.mixing_time("era", 0, EPSILON).fingerprint
         with _engine(loader) as plain:
             assert plain.mixing_time("era", 0, EPSILON).fingerprint == fp
 
 
-class TestFloat32KeyIsolation:
-    def test_float32_keys_suffixed_and_separate(self, loader, graphs):
-        """float32 answers live under ``<key>:float32`` — never the
-        float64 entry, even over a shared cache."""
-        with _engine(loader) as f64_engine:
-            f64 = f64_engine.variation_curve("era", SOURCES, WALKS)
-            shared_cache = f64_engine.cache
-            with QueryEngine(
-                OperatorRegistry(capacity=3, loader=loader),
-                shared_cache,
-                policy=ExecutionPolicy(backend="float32"),
-            ) as f32_engine:
-                f32 = f32_engine.variation_curve("era", SOURCES, WALKS)
-                assert not f32.cache_hit  # float64 entry NOT served
-                assert f32.fingerprint == f"{f64.fingerprint}:float32"
-                # Second float32 request hits its own entry.
-                again = f32_engine.variation_curve("era", SOURCES, WALKS)
-                assert again.cache_hit
-                assert np.array_equal(
-                    np.asarray(again.value), np.asarray(f32.value)
-                )
-        diff = np.abs(np.asarray(f32.value) - np.asarray(f64.value)).max()
-        assert diff <= FLOAT32_CURVE_ATOL
-
-    def test_numeric_tag_none_without_policy(self, loader):
-        with _engine(loader) as eng:
-            assert eng._numeric_tag() is None
-        with _engine(loader, backend="streaming") as eng:
-            assert eng._numeric_tag() is None
-        with _engine(loader, backend="float32") as eng:
-            assert eng._numeric_tag() == "float32"
-
-
 class TestServingRegimeNeutralityPerBackend:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_coalesced_equals_direct_equals_serial(self, loader, graphs, backend):
-        policy = ExecutionPolicy(backend=backend)
-        serial = TransitionOperator(graphs["era"]).hitting_times(
-            SOURCES, EPSILON, policy=policy
-        )
-        with _engine(loader, backend=backend, coalesce_window=0.0) as direct_eng:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_coalesced_equals_direct_equals_serial(self, graphs, kernel_setup, kernel):
+        kernel_loader, policy = kernel_setup(kernel)
+        serial = TransitionOperator(graphs["era"]).hitting_times(SOURCES, EPSILON)
+        with _engine(kernel_loader, policy, coalesce_window=0.0) as direct_eng:
             direct = hitting_times_via_service(direct_eng, "era", SOURCES, EPSILON)
-        with _engine(loader, backend=backend, coalesce_window=0.1) as coal_eng:
+        with _engine(kernel_loader, policy, coalesce_window=0.1) as coal_eng:
             coalesced = hitting_times_via_service(coal_eng, "era", SOURCES, EPSILON)
             assert coal_eng.stats()["coalesced_requests"] > 0
         assert np.array_equal(direct.times, serial.times)
         assert np.array_equal(coalesced.times, serial.times)
         assert np.array_equal(coalesced.final_distances, serial.final_distances)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_curve_direct_equals_serial(self, loader, graphs, backend):
-        policy = ExecutionPolicy(backend=backend)
-        serial = measure_mixing(
-            graphs["erb"], WALKS, sources=SOURCES, policy=policy
-        ).distances
-        with _engine(loader, backend=backend) as eng:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_curve_direct_equals_serial(self, graphs, kernel_setup, kernel):
+        serial = measure_mixing(graphs["erb"], WALKS, sources=SOURCES).distances
+        with _engine(*kernel_setup(kernel)) as eng:
             served = eng.variation_curve("erb", SOURCES, WALKS)
         assert np.array_equal(np.asarray(served.value), serial)
 

@@ -3,8 +3,9 @@
 ``policy=ExecutionPolicy(...)`` is the only way to set execution knobs:
 the deprecated ``workers=``/``block_size=`` keyword aliases, the
 ``ExperimentConfig.workers``/``evolution_block_size`` mirror fields,
-the ``tiled`` SpMM backend and the ``ExecutionPolicy.execution`` /
-``telemetry`` fields are gone, and passing any of them fails loudly.
+the ``ExecutionPolicy.execution`` / ``telemetry`` / ``backend`` fields
+and the CLI's ``--backend`` flag are gone, and passing any of them
+fails loudly.
 The remaining tests run representative slices of every layer with
 ``DeprecationWarning`` escalated to an error, so no path through the
 package warns.
@@ -22,7 +23,6 @@ from repro.core import (
     ExecutionPolicy,
     TransitionOperator,
     as_policy,
-    available_backends,
     directed_variation_curves,
     estimate_mixing_time,
     measure_mixing,
@@ -195,8 +195,8 @@ def entry_points():
 
 
 class TestAliasesAreGone:
-    """The deprecated aliases, the config mirror fields and the ``tiled``
-    backend are removed, not silently ignored."""
+    """The deprecated aliases, the config mirror fields and the SpMM
+    backend knob are removed, not silently ignored."""
 
     @pytest.mark.parametrize(
         "name,keyword", REMOVED_KEYWORDS, ids=[f"{n}-{k}" for n, k in REMOVED_KEYWORDS]
@@ -212,19 +212,22 @@ class TestAliasesAreGone:
         with pytest.raises(TypeError, match=field):
             ExperimentConfig(**{field: 2})
 
-    @pytest.mark.parametrize("field,value", [("execution", "threads"), ("telemetry", True)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("execution", "threads"), ("telemetry", True), ("backend", "numpy")],
+    )
     def test_execution_policy_removed_fields(self, field, value):
         with pytest.raises(TypeError, match=field):
             ExecutionPolicy(**{field: value})
 
-    def test_tiled_backend_unknown(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            ExecutionPolicy(backend="tiled")
-        message = str(excinfo.value)
-        assert "unknown SpMM backend 'tiled'" in message
-        for name in available_backends():
-            assert name in message
-        assert "tiled" not in available_backends()
+    def test_backend_flag_removed(self, capsys):
+        from repro import cli
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fig1", "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert "--backend" not in cli.build_parser().format_help()
 
     def test_as_policy_normalises_none_and_checks_type(self):
         assert as_policy(None) is DEFAULT_POLICY

@@ -115,7 +115,6 @@ class TestPolicySurface:
         "shard_timeout",
         "checkpoint_dir",
         "resume",
-        "backend",
         "memory_budget",
     )
 
@@ -133,7 +132,6 @@ class TestPolicySurface:
         assert p.shard_timeout is None
         assert p.checkpoint_dir is None
         assert p.resume is True
-        assert p.backend == "numpy"
         assert p.memory_budget is None
 
     def test_frozen(self):
