@@ -40,6 +40,9 @@ _WALKS = [1, 2, 5, 10]
 _WORKER_GRID = [1, 2, 4, 8]
 _SPEEDUP_FLOOR = 2.0  # required at 4 workers
 _GATE_WORKERS = 4
+#: The SpMM kernels the backend sweep runs; sidecar rows for any other
+#: backend name a deleted kernel and are dropped on write.
+_BACKENDS = ("numpy", "streaming")
 
 needs_pool = pytest.mark.skipif(
     not parallel_backend_available(),
@@ -179,21 +182,23 @@ def test_parallel_sweep_speedup_gate(operator, sources, results_dir):
 # ----------------------------------------------------------------------
 def _append_backend_record(results_dir, record: dict) -> None:
     """Per-kernel timing sidecar (``backend_sweep.json``), keyed on
-    (benchmark, backend) so reruns replace rather than accumulate."""
+    (benchmark, backend) so reruns replace rather than accumulate, and
+    keeping only rows of backends in :data:`_BACKENDS`."""
     path = results_dir / "backend_sweep.json"
     records = []
     if path.exists():
         records = json.loads(path.read_text(encoding="utf-8"))
     key = (record["benchmark"], record["backend"])
     records = [
-        r for r in records if (r.get("benchmark"), r.get("backend")) != key
+        r for r in records
+        if (r.get("benchmark"), r.get("backend")) != key and r.get("backend") in _BACKENDS
     ]
     records.append(record)
     records.sort(key=lambda r: (r.get("benchmark", ""), r.get("backend", "")))
     path.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("backend", ["numpy", "streaming"])
+@pytest.mark.parametrize("backend", _BACKENDS)
 def test_backend_sweep_comparison(operator, sources, backend, results_dir, tmp_path):
     """Both SpMM kernels run the physics1 sweep; per-kernel wall time
     goes to the sidecar and identity with the in-memory oracle is

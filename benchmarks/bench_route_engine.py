@@ -21,7 +21,11 @@ and gates the rewrite's reasons to exist:
   (``tests/sybil/test_routes_parallel.py`` pins the same contract
   property-style);
 * **pool speedup gate** (tier-2, ``skipif``-gated on core count as in
-  ``bench_parallel_sweep.py``): 4 workers must beat serial by >= 2x.
+  ``bench_parallel_sweep.py``): 4 workers must beat serial by >= 2x;
+* **lazy admission gate** (any machine): at the service's SybilLimit
+  admission shape (physics1, r = 214, verifier + 8 suspects, w = 10)
+  lazy route selection must be >= 2x faster than full tables, with
+  identical tails on the timed runs.
 
 Timing records land in ``benchmarks/results/route_engine.json`` with
 the usual provenance fields so the speedup claim is inspectable after
@@ -40,6 +44,7 @@ import pytest
 from repro.core import ExecutionPolicy, parallel_backend_available
 from repro.datasets import load_cached
 from repro.sampling import bfs_sample
+from repro.sybil import routes as routes_module
 from repro.sybil import (
     RouteInstances,
     SybilLimit,
@@ -54,6 +59,10 @@ _LENGTHS = [10, 40, 160, 320]
 _SERIAL_SPEEDUP_FLOOR = 3.0
 _POOL_SPEEDUP_FLOOR = 2.0
 _GATE_WORKERS = 4
+_ADMISSION_INSTANCES = 214  # r0·√m on physics1, as SybilLimit resolves it
+_ADMISSION_NODES = 9  # the verifier and 8 suspects
+_ADMISSION_LENGTH = 10
+_LAZY_SPEEDUP_FLOOR = 2.0
 
 needs_pool = pytest.mark.skipif(
     not parallel_backend_available(),
@@ -242,3 +251,53 @@ def test_route_engine_pool_speedup_gate(graph, sources, results_dir):
         ),
     )
     assert speedup >= _POOL_SPEEDUP_FLOOR
+
+
+def test_route_engine_lazy_admission_gate(monkeypatch, results_dir):
+    """Lazy selection >= 2x faster than full tables at the admission
+    shape, same bytes.
+
+    The cost model picks lazy here on its own; the full arm pins it to
+    full tables.  Interleaved best-of-3, identity asserted on the timed
+    runs.
+    """
+    graph = load_cached("physics1")
+    ri = RouteInstances(graph, _ADMISSION_INSTANCES, seed=7, cache_tables=False)
+    nodes = np.random.default_rng(1).choice(graph.num_nodes, _ADMISSION_NODES, replace=False)
+    lengths = np.asarray([_ADMISSION_LENGTH], dtype=np.int64)
+    lazy_fraction = routes_module.LAZY_WORK_FRACTION
+
+    def timed(fraction):
+        monkeypatch.setattr(routes_module, "LAZY_WORK_FRACTION", fraction)
+        start = time.perf_counter()
+        out = ri.tails_at_lengths(nodes, lengths, seed=3)
+        return time.perf_counter() - start, out
+
+    t_lazy = t_full = float("inf")
+    out_lazy = out_full = None
+    for _ in range(3):
+        t, out_lazy = timed(lazy_fraction)
+        t_lazy = min(t_lazy, t)
+        t, out_full = timed(0.0)
+        t_full = min(t_full, t)
+
+    assert np.array_equal(out_lazy, out_full), "lazy gate saw drifted numbers"
+    speedup = t_full / t_lazy
+    _append_record(
+        results_dir,
+        {
+            "benchmark": "route_engine_lazy_admission_gate",
+            "dataset": "physics1",
+            "instances": _ADMISSION_INSTANCES,
+            "num_sources": _ADMISSION_NODES,
+            "walk_lengths": [_ADMISSION_LENGTH],
+            "cpu_count": os.cpu_count(),
+            "seconds": t_lazy,
+            "full_seconds": t_full,
+            "speedup": speedup,
+        },
+    )
+    assert speedup >= _LAZY_SPEEDUP_FLOOR, (
+        f"lazy route selection only {speedup:.2f}x faster than full tables "
+        f"at the admission shape (floor {_LAZY_SPEEDUP_FLOOR}x)"
+    )

@@ -912,9 +912,10 @@ def maybe_parallel_route_tails(
 
     The parent pre-draws every instance's start slots (``starts``, the
     full ``(r, nodes)`` table, preserving the serial rng stream); each
-    shard rebuilds its instances' tables from the root entropy and steps
-    them with the shared blocked kernel, and shards are reassembled
-    along the instance axis.  The checkpoint key hashes the arc arrays,
+    shard runs the serial path's ``advance_route_shard`` on its
+    instances, rebuilt from the root entropy (lazy selection or full
+    tables, by the same cost model), and shards are reassembled along
+    the instance axis.  The checkpoint key hashes the arc arrays,
     root entropy, pre-drawn starts and lengths, so SybilLimit admission
     sweeps resume without replaying a draw.
     """

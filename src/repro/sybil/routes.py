@@ -30,13 +30,28 @@ by an exact drop-in replacement for ``np.lexsort`` (quicksort on the
 random keys + 16-bit-radix stable sort on the slot sources) that is
 several times faster at identical output.
 
-Determinism contract: at a fixed seed, the blocked (and pool-parallel)
-paths are **bit-for-bit identical** to the historical per-instance loop
-— same per-instance ``SeedSequence`` children, same first-hop draws in
-the same order, same tables.  ``tests/core/test_golden_values.py`` pins
-raw tails on the golden graphs; ``tests/sybil/test_routes_parallel.py``
-pins blocked == per-instance == pool output across block boundaries and
-worker counts.
+Lazy selection
+--------------
+A table sorts all ``2m`` slots of an instance, yet SybilLimit's
+admission follows only a verifier's and a few suspects' routes for a
+few steps.  Node ``v``'s permutation depends only on the random keys of
+``v``'s own slots, so a route standing on arc ``e`` can leave through
+the slot of ``v = indices[e]`` whose key ranks ``rev[e] − indptr[v]``
+in ``v``'s segment (ties by slot index) — exactly what the table gives.
+The lazy path draws each instance's keys in full (same stream, same
+bits) and advances all routes of a block together, with one composite
+``group + key`` sort over just the visited segments per step and the
+table kernel's exact tie fallback.  :func:`lazy_selection_pays`, a cost
+model on the slots each path would sort, picks the path: lazy for a
+few short routes, full tables for Figure 8's all-node sweeps.
+
+Determinism contract: at a fixed seed, the blocked, lazy and
+pool-parallel paths are **bit-for-bit identical** to the historical
+per-instance loop — same per-instance ``SeedSequence`` children, same
+first-hop draws in the same order, same exits.
+``tests/core/test_golden_values.py`` pins raw tails on the golden
+graphs; ``tests/sybil/test_routes_parallel.py`` pins blocked == lazy ==
+per-instance == pool output across block boundaries and worker counts.
 """
 
 from __future__ import annotations
@@ -227,36 +242,69 @@ def _instance_seed(entropy, index: int) -> np.random.SeedSequence:
 
 
 # ----------------------------------------------------------------------
-# Blocked stepping kernel (shared by the serial path and pool workers)
+# Stepping kernels (shared by the serial path and pool workers)
 # ----------------------------------------------------------------------
+#: Lazy selection runs when it is expected to sort fewer slots than this
+#: fraction of the slots the full table builds would sort.  A sorted
+#: segment slot costs about 1.8x a slot of a full build (more gathers
+#: per slot); on physics1 at r = 214 the two paths break even near 0.75
+#: (about 100 routes × 10 steps, or 9 routes × 80 steps).
+LAZY_WORK_FRACTION: float = 0.6
+
+
+def lazy_selection_pays(
+    routes: int,
+    steps: int,
+    visited_degree: float,
+    num_slots: int,
+    builds: int,
+) -> bool:
+    """Cost model: does lazy route selection beat building full tables?
+
+    Lazy selection sorts the segment of every node a route visits:
+    about ``routes × steps × visited_degree`` slots, where ``routes``
+    counts every route of every instance and ``steps`` is the number of
+    hops after the first; ``visited_degree`` is the mean degree at the
+    head of a uniformly random arc, ``Σ deg² / 2m``, which is what a
+    walk sees once it has left its start.  Full tables sort all
+    ``num_slots`` slots of each of the ``builds`` instances whose table
+    is not already built.  Both paths draw the same random keys, so
+    that cost cancels out.
+    """
+    return routes * steps * visited_degree < LAZY_WORK_FRACTION * builds * num_slots
+
+
+def _record_checkpoints(pos, lengths, out, advance, offsets=0) -> None:
+    """Step ``pos`` with ``advance`` to ``lengths[-1]``, recording tails.
+
+    ``pos`` is ``(b, nodes)``; ``out[:, :, c]`` receives
+    ``(pos - offsets).T`` after ``lengths[c]`` hops (the first hop is
+    ``pos`` itself).
+    """
+    col = 0
+    for step in range(1, int(lengths[-1]) + 1):
+        if step > 1:
+            pos = advance(pos)
+        if lengths[col] == step:
+            out[:, :, col] = (pos - offsets).T
+            col += 1
+
+
 def _step_block_checkpoints(
     tables: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
     out: np.ndarray,
-) -> int:
-    """Advance a block of instances with checkpoint recording.
+) -> None:
+    """Advance a block of instances through full ``next_slot`` tables.
 
-    Parameters
-    ----------
-    tables:
-        ``(b, 2m)`` int64 ``next_slot`` tables, one row per instance.
-    starts:
-        ``(b, nodes)`` int64 start slots (the routes' first hops).
-    lengths:
-        Strictly increasing checkpoint lengths (>= 1).
-    out:
-        ``(nodes, b, len(lengths))`` int64 output (written in place).
-
-    Returns the number of flat gathers performed (for telemetry).
-
-    The block's tables are flattened into one offset array
-    ``flat[i·2m + s] = i·2m + tables[i, s]`` so one gather advances
-    every route of every instance in the block.  When the flattened
-    index space fits in int32 the gather runs on int32 arrays — half
-    the memory traffic on a DRAM-bound random gather, with the recorded
-    checkpoints cast back to int64 (values are identical integers, so
-    the output is bit-for-bit unchanged).
+    ``tables`` is ``(b, 2m)``, ``starts`` the ``(b, nodes)`` first hops
+    and ``out`` the ``(nodes, b, len(lengths))`` output.  The tables are
+    flattened into one offset array ``flat[i·2m + s] = i·2m +
+    tables[i, s]`` so one gather advances every route of every instance
+    in the block.  When the flattened index space fits in int32 the
+    gather runs on int32 arrays — half the memory traffic on a
+    DRAM-bound random gather, with identical integer values.
     """
     b, num_slots = tables.shape
     offsets = np.arange(b, dtype=np.int64)[:, None] * np.int64(num_slots)
@@ -268,17 +316,68 @@ def _step_block_checkpoints(
     else:
         flat = (tables + offsets).ravel()
         pos = starts + offsets
-    max_len = int(lengths[-1])
-    col = 0
-    gathers = 0
-    for step in range(1, max_len + 1):
-        if step > 1:
-            pos = flat[pos]
-            gathers += 1
-        if col < lengths.size and lengths[col] == step:
-            out[:, :, col] = pos.T - offsets.T
-            col += 1
-    return gathers
+    _record_checkpoints(pos, lengths, out, flat.__getitem__, offsets)
+
+
+def select_segment_exits(
+    arcs: np.ndarray,
+    key_offsets: np.ndarray,
+    keys: np.ndarray,
+    src: np.ndarray,
+    rev: np.ndarray,
+    indptr: np.ndarray,
+) -> "tuple[np.ndarray, int]":
+    """Next arc of each route, sorting only the node segments visited.
+
+    A route standing on arc ``e`` sits at ``v = src[rev[e]]`` and leaves
+    through the slot of ``v`` whose key ranks ``rev[e] − indptr[v]``
+    in ``v``'s segment, ties broken by slot index — exactly
+    ``perm_flat[rev[e]]`` of the full table.  Route ``j`` reads its keys
+    at ``keys[key_offsets[j] + slot]``.  Every route's segment becomes
+    one group, laid out in ascending slot order, and one
+    :func:`_permutation_order` over ``(group, key)`` ranks every group
+    at once, with its exact fallback for equal composites.  Returns the
+    next arcs and the number of slots sorted.
+    """
+    entry = rev[arcs]
+    node = src[entry]
+    first = indptr[node]
+    deg = indptr[node + 1] - first
+    group_start = np.cumsum(deg) - deg
+    group = np.repeat(np.arange(arcs.size, dtype=np.int64), deg)
+    slots = np.arange(int(deg.sum()), dtype=np.int64) + (first - group_start)[group]
+    order = _permutation_order(keys[key_offsets[group] + slots], group, arcs.size)
+    return slots[order[group_start + entry - first]], int(slots.size)
+
+
+def _step_block_lazy(
+    keys: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    out: np.ndarray,
+    src: np.ndarray,
+    rev: np.ndarray,
+    indptr: np.ndarray,
+) -> int:
+    """Advance a block of instances from their ``(b, 2m)`` random keys.
+
+    Same contract as :func:`_step_block_checkpoints`, but no table is
+    built: every step runs :func:`select_segment_exits` over all routes
+    of all instances in the block.  Returns the slots sorted.
+    """
+    b, num_slots = keys.shape
+    key_offsets = np.repeat(np.arange(b, dtype=np.int64) * np.int64(num_slots), starts.shape[1])
+    flat_keys = keys.ravel()
+    sorted_slots = 0
+
+    def advance(pos):
+        nonlocal sorted_slots
+        nxt, count = select_segment_exits(pos.ravel(), key_offsets, flat_keys, src, rev, indptr)
+        sorted_slots += count
+        return nxt.reshape(pos.shape)
+
+    _record_checkpoints(starts, lengths, out, advance)
+    return sorted_slots
 
 
 def advance_route_shard(
@@ -291,29 +390,67 @@ def advance_route_shard(
     starts: np.ndarray,
     lengths: np.ndarray,
     block_size: Optional[int] = None,
+    tables: Optional[dict] = None,
 ) -> np.ndarray:
     """Tails for instances ``[instance_lo, instance_hi)`` of one engine.
 
     ``starts`` holds the pre-drawn start slots for exactly this shard
-    (``(hi - lo, nodes)``); tables are rebuilt from the root entropy via
-    :func:`_instance_seed`, so the shard function is pure — pool workers
-    and the serial fallback call the same code with the same inputs and
-    produce the same bytes.  Returns ``(nodes, hi - lo, len(lengths))``.
+    (``(hi - lo, nodes)``); instances are rebuilt from the root entropy
+    via :func:`_instance_seed`, so the shard function is pure — pool
+    workers and the serial path call the same code with the same inputs
+    and produce the same bytes.  ``tables`` maps instance indices to
+    already-built ``next_slot`` tables, which are reused, never rebuilt.
+    Returns ``(nodes, hi - lo, len(lengths))``.
+
+    :func:`lazy_selection_pays` picks the path: lazy selection
+    (:func:`_step_block_lazy`, random keys only) for a few short
+    routes, full tables (:func:`_step_block_checkpoints`) otherwise.
+    Both give the same bytes.
     """
+    tables = {} if tables is None else tables
     count = int(instance_hi) - int(instance_lo)
     num_slots = src.size
     out = np.empty((starts.shape[1], count, lengths.size), dtype=np.int64)
+    degrees = np.bincount(src, minlength=num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    lazy = lazy_selection_pays(
+        starts.size,
+        int(lengths[-1]) - 1,
+        float(degrees @ degrees) / num_slots,
+        num_slots,
+        sum(1 for i in range(instance_lo, instance_hi) if i not in tables),
+    )
     block = resolve_route_block_size(num_slots, count, block_size)
-    tables = np.empty((min(block, count), num_slots), dtype=np.int64)
+    rows = np.empty((min(block, count), num_slots), dtype=np.float64 if lazy else np.int64)
+    telemetry = OBS.enabled
+    if telemetry:
+        OBS.add("sybil.routes.instances", count)
+        OBS.observe("sybil.routes.block_instances", block)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        for i in range(lo, hi):
-            tables[i - lo] = build_instance_table(
-                _instance_seed(entropy, instance_lo + i), src, rev, num_nodes
+        for i, row in zip(range(instance_lo + lo, instance_lo + hi), rows):
+            if lazy:
+                np.random.default_rng(_instance_seed(entropy, i)).random(out=row)
+            else:
+                table = tables.get(i)
+                row[:] = (
+                    table if table is not None
+                    else build_instance_table(_instance_seed(entropy, i), src, rev, num_nodes)
+                )
+        if lazy:
+            sorted_slots = _step_block_lazy(
+                rows[: hi - lo], starts[lo:hi], lengths, out[:, lo:hi], src, rev, indptr
             )
-        _step_block_checkpoints(
-            tables[: hi - lo], starts[lo:hi], lengths, out[:, lo:hi]
-        )
+        else:
+            _step_block_checkpoints(rows[: hi - lo], starts[lo:hi], lengths, out[:, lo:hi])
+        if telemetry:
+            OBS.add("sybil.routes.blocks")
+            if lazy:
+                OBS.add("sybil.routes.lazy_instances", hi - lo)
+                OBS.add("sybil.routes.segment_slots", sorted_slots)
+            else:
+                OBS.add("sybil.routes.gathers", int(lengths[-1]) - 1)
     return out
 
 
@@ -349,21 +486,19 @@ class RouteInstances:
         self._rev = reverse_slots(graph)
         self._num_instances = int(num_instances)
         self._cache_tables = bool(cache_tables)
-        # One child seed per instance so tables are reproducible whether
-        # they are cached, regenerated on demand, or rebuilt inside a
-        # pool worker from the root entropy alone.
+        # Instance i's seed is the root's i-th child (_instance_seed), so
+        # tables are reproducible whether they are cached, regenerated on
+        # demand, or rebuilt inside a pool worker from the entropy alone.
         root = np.random.SeedSequence(
             seed if isinstance(seed, (int, np.integer)) else as_rng(seed).integers(2**63)
         )
         self._entropy = root.entropy
-        self._instance_seeds = root.spawn(self._num_instances)
-        self._rng = np.random.default_rng(root.spawn(1)[0])
         self._cache: dict = {}
 
     def _build_instance(self, index: int) -> np.ndarray:
         """One instance's ``next_slot`` permutation (fast exact kernel)."""
         return build_instance_table(
-            self._instance_seeds[index], self._src, self._rev, self._graph.num_nodes
+            _instance_seed(self._entropy, index), self._src, self._rev, self._graph.num_nodes
         )
 
     # ------------------------------------------------------------------
@@ -394,12 +529,16 @@ class RouteInstances:
     # ------------------------------------------------------------------
     def start_slots(self, nodes: np.ndarray, *, seed=None) -> np.ndarray:
         """A uniformly random outgoing slot per node (routes' first hop)."""
-        rng = as_rng(seed)
         nodes = np.asarray(nodes, dtype=np.int64)
+        return self._first_hops(nodes, as_rng(seed), 1)[0]
+
+    def _first_hops(self, nodes: np.ndarray, rng, rows: int) -> np.ndarray:
+        """``rows`` successive :meth:`start_slots` draws as one
+        ``(rows, nodes)`` array: the same doubles in the same order."""
         deg = self._graph.degrees[nodes]
         if np.any(deg == 0):
             raise RouteError("cannot start a route at an isolated node")
-        offsets = (rng.random(nodes.size) * deg).astype(np.int64)
+        offsets = (rng.random((rows, nodes.size)) * deg).astype(np.int64)
         return self._graph.indptr[nodes] + offsets
 
     def advance(self, slots: np.ndarray, steps: int, instance: int) -> np.ndarray:
@@ -452,8 +591,9 @@ class RouteInstances:
 
         ``lengths`` must be strictly increasing and >= 1.  Returns shape
         ``(len(nodes), r, len(lengths))``.  Within one block the walk is
-        advanced incrementally, so the cost is one flat gather per step
-        per block rather than one python iteration per (instance, step) —
+        advanced incrementally, so the cost is one flat gather (or, for
+        a few short routes, one lazy segment selection) per step per
+        block rather than one python iteration per (instance, step) —
         this is what makes sweeping Figure 8's walk lengths cheap.
 
         The same first-hop randomness is reused across checkpoint lengths
@@ -470,8 +610,6 @@ class RouteInstances:
         nodes = np.asarray(nodes, dtype=np.int64)
         rng = as_rng(seed)
         r = self._num_instances
-
-        telemetry = OBS.enabled
         with OBS.span(
             "sybil.routes.tails_sweep",
             instances=r,
@@ -483,39 +621,17 @@ class RouteInstances:
             # instance order — the exact stream the historical
             # per-instance loop consumed — so blocking and sharding
             # cannot perturb a single draw.
-            starts = np.empty((r, nodes.size), dtype=np.int64)
-            for i in range(r):
-                starts[i] = self.start_slots(nodes, seed=rng)
-
+            starts = self._first_hops(nodes, rng, r)
             parallel = self._maybe_parallel_tails(starts, lengths, policy)
             if parallel is not None:
                 return parallel
-
-            out = np.empty((nodes.size, r, lengths.size), dtype=np.int64)
-            block = resolve_route_block_size(self._src.size, r, policy.block_size)
-            if telemetry:
-                OBS.add("sybil.routes.instances", r)
-                OBS.observe("sybil.routes.block_instances", block)
-            for lo in range(0, r, block):
-                hi = min(lo + block, r)
-                tables = np.empty((hi - lo, self._src.size), dtype=np.int64)
-                for i in range(lo, hi):
-                    # Reuse a cached table when one exists, but never
-                    # *populate* the cache from a sweep: retaining all r
-                    # tables would cost O(r·2m) memory (hundreds of MB
-                    # at SybilLimit scale) for tables the sweep touches
-                    # exactly once per block.
-                    cached = self._cache.get(i)
-                    tables[i - lo] = (
-                        cached if cached is not None else self._build_instance(i)
-                    )
-                gathers = _step_block_checkpoints(
-                    tables, starts[lo:hi], lengths, out[:, lo:hi]
-                )
-                if telemetry:
-                    OBS.add("sybil.routes.blocks")
-                    OBS.add("sybil.routes.gathers", gathers)
-            return out
+            # Reuse cached tables, but never *populate* the cache from a
+            # sweep: retaining all r tables would cost O(r·2m) memory
+            # for tables the sweep touches exactly once.
+            return advance_route_shard(
+                self._src, self._rev, self._graph.num_nodes, self._entropy,
+                0, r, starts, lengths, policy.block_size, tables=self._cache,
+            )
 
     def _maybe_parallel_tails(
         self,
@@ -600,6 +716,6 @@ class RouteInstances:
 
     def _build_instance_reference(self, index: int) -> np.ndarray:
         """Table construction via ``np.lexsort`` (the historical kernel)."""
-        keys = np.random.default_rng(self._instance_seeds[index]).random(self._src.size)
+        keys = np.random.default_rng(_instance_seed(self._entropy, index)).random(self._src.size)
         perm_flat = np.lexsort((keys, self._src)).astype(np.int64)
         return perm_flat[self._rev]

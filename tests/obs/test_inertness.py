@@ -167,32 +167,50 @@ def test_sybilguard_run_bit_identical(obs, bridge_graph):
     assert np.array_equal(off_s, on_s)
 
 
-def test_route_tails_bit_identical(obs, petersen):
+def test_route_tails_bit_identical(obs, petersen, er_medium):
+    """Both stepping paths: full tables for an all-node sweep, lazy
+    selection for an admission-shaped one (a few routes, many instances)."""
     from repro.sybil import RouteInstances
 
-    def run():
+    def full():
         ri = RouteInstances(petersen, 6, seed=19)
         nodes = np.arange(petersen.num_nodes, dtype=np.int64)
         return ri.tails_at_lengths(nodes, [1, 4, 9], seed=2, policy=ExecutionPolicy(block_size=2))
 
-    assert np.array_equal(_with_flag(obs, False, run), _with_flag(obs, True, run))
+    def lazy():
+        ri = RouteInstances(er_medium, 12, seed=19)
+        return ri.tails_at_lengths([0, 5, 9], [1, 4, 9], seed=2, policy=ExecutionPolicy(block_size=5))
+
+    for run in (full, lazy):
+        assert np.array_equal(_with_flag(obs, False, run), _with_flag(obs, True, run))
 
 
-def test_route_telemetry_actually_recorded(obs, petersen):
-    """The enabled arm of the route-engine inertness tests must record
-    real metrics, or the comparison above is vacuous."""
+def test_route_telemetry_actually_recorded(obs, petersen, er_medium):
+    """The enabled arms of the route-engine inertness tests must record
+    real metrics, or the comparison above is vacuous — and each arm must
+    have run the path it claims to cover."""
     from repro.sybil import RouteInstances
 
-    obs.reset()
-    obs.enable()
-    ri = RouteInstances(petersen, 4, seed=3)
-    ri.tails_at_lengths(np.arange(petersen.num_nodes), [1, 5], seed=1)
-    snap = obs.snapshot()
-    obs.disable()
-    obs.reset()
-    assert snap["counters"]["sybil.routes.instances"] == 4
-    assert snap["counters"]["sybil.routes.blocks"] >= 1
-    assert snap["counters"]["sybil.routes.gathers"] >= 1
+    def counters(graph, nodes):
+        obs.reset()
+        obs.enable()
+        RouteInstances(graph, 4, seed=3).tails_at_lengths(nodes, [1, 5], seed=1)
+        snap = obs.snapshot()
+        obs.disable()
+        obs.reset()
+        return snap["counters"]
+
+    full = counters(petersen, np.arange(petersen.num_nodes))
+    assert full["sybil.routes.instances"] == 4
+    assert full["sybil.routes.blocks"] >= 1
+    assert full["sybil.routes.gathers"] >= 1
+    assert "sybil.routes.lazy_instances" not in full
+
+    lazy = counters(er_medium, np.asarray([0, 5, 9]))
+    assert lazy["sybil.routes.instances"] == 4
+    assert lazy["sybil.routes.lazy_instances"] == 4
+    assert lazy["sybil.routes.segment_slots"] >= 4 * 3 * 4
+    assert "sybil.routes.gathers" not in lazy
 
 
 def test_telemetry_actually_recorded(obs):

@@ -20,12 +20,15 @@ from repro.core.parallel import maybe_parallel_route_hits, maybe_parallel_route_
 from repro.core.runtime import ExecutionPolicy
 from repro.graph import Graph
 from repro.sybil import RouteInstances, SybilGuard, SybilLimit, SybilLimitParams, no_attack_scenario
+from repro.sybil import routes as routes_module
 from repro.sybil.routes import (
     _permutation_order,
     _stable_node_argsort,
     arc_sources,
+    lazy_selection_pays,
     resolve_route_block_size,
     reverse_slots,
+    select_segment_exits,
 )
 
 needs_pool = pytest.mark.skipif(
@@ -170,6 +173,118 @@ class TestPermutationKernel:
         nodes = rng.integers(0, 50, size=4000).astype(np.int64)
         got = _stable_node_argsort(nodes, 50)
         assert np.array_equal(got, np.argsort(nodes, kind="stable"))
+
+
+# ----------------------------------------------------------------------
+# Lazy route selection == full tables == reference
+# ----------------------------------------------------------------------
+ADMISSION_LENGTHS = ([1], [10], [1, 3, 7, 12])
+
+
+def _forced(monkeypatch, path):
+    """Pin the cost model's choice: ``"lazy"`` always, ``"full"`` never."""
+    fraction = float("inf") if path == "lazy" else 0.0
+    monkeypatch.setattr(routes_module, "LAZY_WORK_FRACTION", fraction)
+
+
+class TestLazySelection:
+    @pytest.mark.parametrize("num_nodes", [1, 2, 5, 9])
+    @pytest.mark.parametrize("lengths", ADMISSION_LENGTHS)
+    @pytest.mark.parametrize("block_size", [None, 1, 4, 7])
+    def test_lazy_equals_full_equals_reference(
+        self, er_medium, monkeypatch, num_nodes, lengths, block_size
+    ):
+        """Admission shapes: a few suspects, short routes, many instances."""
+        ri = RouteInstances(er_medium, 11, seed=23)
+        nodes = np.random.default_rng(num_nodes).choice(
+            er_medium.num_nodes, num_nodes, replace=False
+        )
+        policy = ExecutionPolicy(block_size=block_size)
+        reference = ri._tails_at_lengths_reference(nodes, lengths, seed=8)
+        for path in ("lazy", "full"):
+            _forced(monkeypatch, path)
+            got = ri.tails_at_lengths(nodes, lengths, seed=8, policy=policy)
+            assert np.array_equal(got, reference), path
+
+    def test_partial_table_cache_on_either_path(self, bridge_graph, monkeypatch):
+        """Full tables reuse the cached instances; lazy selection ignores them."""
+        ri = RouteInstances(bridge_graph, 6, seed=4)
+        for i in (1, 4):
+            ri.single_instance(i)
+        nodes = np.asarray([0, 7, 150], dtype=np.int64)
+        reference = ri._tails_at_lengths_reference(nodes, LENGTHS, seed=2)
+        for path in ("lazy", "full"):
+            _forced(monkeypatch, path)
+            assert np.array_equal(ri.tails_at_lengths(nodes, LENGTHS, seed=2), reference)
+
+    @needs_pool
+    @pytest.mark.parametrize("lengths", ADMISSION_LENGTHS)
+    def test_lazy_pool_equals_reference(self, er_medium, lengths):
+        ri = RouteInstances(er_medium, 9, seed=37)
+        nodes = np.asarray([3, 40, 41, 200], dtype=np.int64)
+        reference = ri._tails_at_lengths_reference(nodes, lengths, seed=1)
+        got = ri.tails_at_lengths(
+            nodes, lengths, seed=1, policy=ExecutionPolicy(workers=2, block_size=2)
+        )
+        assert np.array_equal(got, reference)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**20),
+        ties=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_segment_selection_matches_lexsort(self, seed, ties):
+        """Forced key ties take the exact fallback; the exits still equal
+        the full ``np.lexsort`` table's, ties broken by slot index."""
+        rng = np.random.default_rng(seed)
+        graph = Graph.from_edges(
+            rng.integers(0, 12, size=(30, 2)).tolist(), num_nodes=12
+        )
+        if graph.num_edges == 0:
+            return
+        src, rev = arc_sources(graph), reverse_slots(graph)
+        instances = 3
+        keys = rng.random((instances, src.size))
+        # Coarse keys collide within segments; copied keys collide exactly.
+        keys[:, : ties % src.size] = np.floor(keys[:, : ties % src.size] * 3) / 3
+        keys[rng.integers(instances), rng.integers(src.size)] = keys[0, 0]
+        arcs = rng.integers(0, src.size, size=(instances, 5))
+        key_offsets = np.repeat(np.arange(instances) * src.size, 5)
+        got, sorted_slots = select_segment_exits(
+            arcs.ravel(), key_offsets, keys.ravel(), src, rev, graph.indptr.astype(np.int64)
+        )
+        for i in range(instances):
+            table = np.lexsort((keys[i], src))[rev]
+            assert np.array_equal(got.reshape(instances, 5)[i], table[arcs[i]])
+        assert sorted_slots == int(graph.degrees[graph.indices[arcs]].sum())
+
+
+class TestLazyCostModel:
+    """The decision, not the timing, on physics1 at SybilLimit's own
+    r = r0·√m: Figure 8's all-node sweeps keep full tables, and the
+    service's admission (verifier + 8 suspects, w = 10) selects lazily."""
+
+    @pytest.fixture
+    def physics1_shape(self):
+        from repro.datasets import load_cached
+
+        graph = load_cached("physics1")
+        deg = graph.degrees.astype(np.int64)
+        r = SybilLimitParams(route_length=10).resolve_instances(graph.num_edges)
+        return graph.num_nodes, r, float(deg @ deg) / deg.sum(), int(deg.sum())
+
+    def test_figure8_all_node_sweep_builds_tables(self, physics1_shape):
+        n, r, visited, slots = physics1_shape
+        for max_len in (10, 40, 320):
+            assert not lazy_selection_pays(r * n, max_len - 1, visited, slots, r)
+
+    def test_admission_shape_selects_lazily(self, physics1_shape):
+        _, r, visited, slots = physics1_shape
+        assert lazy_selection_pays(r * 9, 9, visited, slots, r)
+
+    def test_cached_tables_are_never_rebuilt_lazily(self, physics1_shape):
+        _, r, visited, slots = physics1_shape
+        assert not lazy_selection_pays(r * 9, 9, visited, slots, 0)
 
 
 # ----------------------------------------------------------------------
