@@ -16,7 +16,9 @@ content-addressed fingerprints) into serving infrastructure:
   exactly as a batch sweep does.
 * :class:`~repro.service.engine.QueryEngine` — the request vocabulary
   (mixing time from node v at ε, variation curves for sources S, current
-  SLEM, admission decision for suspect s at w) with **request
+  SLEM, admission decision for suspect s at w, and two trends), each
+  query type declared once in
+  :data:`~repro.service.engine.QUERY_TYPES`, with **request
   coalescing**: concurrent point-mass queries are batched into single
   block sweeps over the PR-1 kernels and scattered back per-request,
   bit-identical to serial per-request computation.

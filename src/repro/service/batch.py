@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.operators import HittingTimes
-from .engine import MixingTimeQuery, QueryEngine
+from .engine import QueryEngine
 
 __all__ = [
     "admission_via_service",
@@ -88,16 +88,9 @@ def hitting_times_via_service(
     """
 
     def one(source: int) -> dict:
-        result = engine.submit(
-            MixingTimeQuery(
-                dataset,
-                int(source),
-                float(epsilon),
-                laziness=laziness,
-                max_steps=max_steps,
-            )
-        )
-        return result.value
+        return engine.mixing_time(
+            dataset, source, epsilon, laziness=laziness, max_steps=max_steps
+        ).value
 
     with ThreadPoolExecutor(
         max_workers=min(_MAX_CLIENT_THREADS, max(1, len(sources)))

@@ -1,9 +1,13 @@
 """Service clients: in-process and HTTP, speaking one wire vocabulary.
 
-Both clients expose the same verbs as the engine; the wire format
+Both clients expose the same verbs as the engine, generated from the
+engine's :data:`~repro.service.engine.QUERY_TYPES` table
+(:class:`~repro.service.engine.QueryVerbs`).  The wire format
 (`payload dict -> query object`, `answer -> JSON-able dict`) lives here
 so the HTTP server, the HTTP client and the in-process client share one
-codec and cannot disagree about field names or types.
+codec and cannot disagree about field names or types: :func:`build_query`
+looks the type up in the same table, and one encoder
+(:func:`_encode_value`) turns answers, payloads and stats into JSON.
 
 **One wire contract** (:data:`SCHEMA_V2`).  A payload may carry
 ``"schema": "repro.service.query/v2"``; without a ``schema`` key it
@@ -27,22 +31,13 @@ bit for bit, to the in-process one.  The identity tests pin this.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields, is_dataclass
 from typing import Any, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .engine import (
-    AdmissionQuery,
-    MixingTimeQuery,
-    MixingTrendQuery,
-    QueryEngine,
-    QueryResult,
-    SlemQuery,
-    SlemTrendQuery,
-    VariationCurveQuery,
-    _coerce,
-)
+from .engine import QUERY_TYPES, QueryEngine, QueryResult, QueryVerbs, _int
 
 __all__ = [
     "SCHEMA_V2",
@@ -57,14 +52,6 @@ __all__ = [
 #: The wire schema: echoed by every reply, optional on payloads.
 SCHEMA_V2 = "repro.service.query/v2"
 
-_QUERY_TYPES = {
-    "mixing_time": MixingTimeQuery,
-    "variation_curve": VariationCurveQuery,
-    "slem": SlemQuery,
-    "admission": AdmissionQuery,
-    "mixing_trend": MixingTrendQuery,
-    "slem_trend": SlemTrendQuery,
-}
 
 def build_query(payload: dict):
     """Wire payload -> query dataclass (the server's request parser).
@@ -76,10 +63,10 @@ def build_query(payload: dict):
     if not isinstance(payload, dict):
         raise ConfigurationError("query payload must be a JSON object")
     kind = payload.get("type")
-    cls = _QUERY_TYPES.get(kind) if isinstance(kind, str) else None
+    cls = QUERY_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigurationError(
-            f"unknown query type {kind!r}; expected one of {sorted(_QUERY_TYPES)}"
+            f"unknown query type {kind!r}; expected one of {sorted(QUERY_TYPES)}"
         )
     if not isinstance(payload.get("dataset"), str):
         raise ConfigurationError(f"{kind} query needs a string 'dataset'")
@@ -91,44 +78,41 @@ def build_query(payload: dict):
 
 
 def _encode_value(value: Any) -> Any:
+    """JSON-able form of an answer, a payload or a stats block.
+
+    numpy arrays and scalars become Python lists and scalars, tuples
+    become lists, dict keys become strings and dataclasses become dicts.
+    Both sides of the wire encode through here.
+    """
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (str, int, float)) or value is None:
+        return value  # most leaves of an answer: skip the checks below
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
     if isinstance(value, dict):
-        return {k: _encode_value(v) for k, v in value.items()}
+        return {str(k): _encode_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode_value(v) for v in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return _encode_value(asdict(value))
     return value
+
+
+_RESULT_FIELDS = tuple(f.name for f in fields(QueryResult))
 
 
 def encode_result(result: QueryResult) -> dict:
     """Query result -> JSON-able wire dict (floats keep full precision)."""
-    return {
-        "value": _encode_value(result.value),
-        "fingerprint": result.fingerprint,
-        "cache_hit": bool(result.cache_hit),
-        "coalesced": bool(result.coalesced),
-        "batch_size": int(result.batch_size),
-        "latency_s": float(result.latency_s),
-        "schema": SCHEMA_V2,
-        "graph_version": result.graph_version,
-    }
+    reply = dict(vars(result))
+    reply["value"] = _encode_value(result.value)
+    reply["schema"] = SCHEMA_V2
+    return reply
 
 
 def decode_result(payload: dict) -> QueryResult:
     """Wire dict -> :class:`QueryResult` (value stays JSON-shaped)."""
-    return QueryResult(
-        value=payload["value"],
-        fingerprint=payload["fingerprint"],
-        cache_hit=bool(payload["cache_hit"]),
-        coalesced=bool(payload["coalesced"]),
-        batch_size=int(payload["batch_size"]),
-        latency_s=float(payload["latency_s"]),
-        graph_version=payload["graph_version"],
-    )
+    return QueryResult(**{name: payload[name] for name in _RESULT_FIELDS})
 
 
 def _edge_pairs(name: str, value) -> list:
@@ -160,7 +144,7 @@ def _append_delta_reply(engine: QueryEngine, body: dict, pin: Optional[str]) -> 
         if field not in body:
             raise ConfigurationError(f"append_delta requires {field!r}")
     dataset = str(body["dataset"])
-    timestamp = _coerce(int, "timestamp", body["timestamp"])
+    timestamp = _int("timestamp", body["timestamp"])
     insert = _edge_pairs("insert", body.get("insert", ()))
     delete = _edge_pairs("delete", body.get("delete", ()))
     version = engine.append_delta(
@@ -210,8 +194,8 @@ def answer_payload(engine: QueryEngine, payload: dict) -> dict:
     return encode_result(result)
 
 
-class ServiceClient:
-    """In-process client: the engine's vocabulary with wire-dict support.
+class ServiceClient(QueryVerbs):
+    """In-process client: the engine's verbs, plus wire-dict support.
 
     ``query(payload)`` accepts the same JSON payloads the HTTP endpoint
     does, so a workload can be replayed against either front-end and the
@@ -221,28 +205,11 @@ class ServiceClient:
     def __init__(self, engine: QueryEngine) -> None:
         self.engine = engine
 
-    def mixing_time(self, dataset, source, epsilon, **kwargs) -> QueryResult:
-        return self.engine.mixing_time(dataset, source, epsilon, **kwargs)
+    def submit(self, query) -> QueryResult:
+        return self.engine.submit(query)
 
-    def variation_curve(self, dataset, sources, walk_lengths, **kwargs) -> QueryResult:
-        return self.engine.variation_curve(dataset, sources, walk_lengths, **kwargs)
-
-    def slem(self, dataset, **kwargs) -> QueryResult:
-        return self.engine.slem(dataset, **kwargs)
-
-    def admission(self, dataset, suspects, route_length, **kwargs) -> QueryResult:
-        return self.engine.admission(dataset, suspects, route_length, **kwargs)
-
-    def mixing_trend(self, dataset, walk_lengths, **kwargs) -> QueryResult:
-        return self.engine.mixing_trend(dataset, walk_lengths, **kwargs)
-
-    def slem_trend(self, dataset, **kwargs) -> QueryResult:
-        return self.engine.slem_trend(dataset, **kwargs)
-
-    def append_delta(self, dataset, timestamp, insert=(), delete=(), **kwargs) -> str:
-        return self.engine.append_delta(
-            dataset, timestamp, insert=insert, delete=delete, **kwargs
-        )
+    def append_delta(self, *args, **kwargs) -> str:
+        return self.engine.append_delta(*args, **kwargs)
 
     def query(self, payload: dict) -> dict:
         """Answer one wire-format payload, returning the wire-format reply.
@@ -258,14 +225,8 @@ class ServiceClient:
     def close(self) -> None:
         self.engine.close()
 
-    def __enter__(self) -> "ServiceClient":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class HTTPServiceClient:
+class HTTPServiceClient(QueryVerbs):
     """Stdlib-only client for :class:`repro.service.http.ServiceServer`.
 
     One persistent ``http.client.HTTPConnection`` per client instance —
@@ -302,78 +263,28 @@ class HTTPServiceClient:
         return self._request("POST", "/query", payload)
 
     # -- the verbs: one payload shape, no schema key ----------------------
-    def mixing_time(self, dataset, source, epsilon, **kwargs) -> QueryResult:
-        return decode_result(
-            self.query(
-                {
-                    "type": "mixing_time",
-                    "dataset": dataset,
-                    "source": int(source),
-                    "epsilon": float(epsilon),
-                    **kwargs,
-                }
+    def _ask(self, query_type: type, args: tuple, kwargs: dict) -> QueryResult:
+        """Send a verb's arguments as a payload; the server validates them."""
+        names = query_type._field_names
+        if len(args) > len(names):
+            raise TypeError(
+                f"{query_type.query_type}() takes at most {len(names)} "
+                f"positional arguments ({len(args)} given)"
             )
-        )
-
-    def variation_curve(self, dataset, sources, walk_lengths, **kwargs) -> QueryResult:
-        return decode_result(
-            self.query(
-                {
-                    "type": "variation_curve",
-                    "dataset": dataset,
-                    "sources": [int(s) for s in sources],
-                    "walk_lengths": [int(w) for w in walk_lengths],
-                    **kwargs,
-                }
-            )
-        )
-
-    def slem(self, dataset, **kwargs) -> QueryResult:
-        return decode_result(self.query({"type": "slem", "dataset": dataset, **kwargs}))
-
-    def admission(self, dataset, suspects, route_length, **kwargs) -> QueryResult:
-        return decode_result(
-            self.query(
-                {
-                    "type": "admission",
-                    "dataset": dataset,
-                    "suspects": [int(s) for s in suspects],
-                    "route_length": int(route_length),
-                    **kwargs,
-                }
-            )
-        )
-
-    def mixing_trend(self, dataset, walk_lengths, **kwargs) -> QueryResult:
-        return decode_result(
-            self.query(
-                {
-                    "type": "mixing_trend",
-                    "dataset": dataset,
-                    "walk_lengths": [int(w) for w in walk_lengths],
-                    **kwargs,
-                }
-            )
-        )
-
-    def slem_trend(self, dataset, **kwargs) -> QueryResult:
-        return decode_result(
-            self.query({"type": "slem_trend", "dataset": dataset, **kwargs})
-        )
+        payload = {"type": query_type.query_type, **dict(zip(names, args)), **kwargs}
+        return decode_result(self.query(_encode_value(payload)))
 
     def append_delta(self, dataset, timestamp, insert=(), delete=(), **kwargs) -> str:
         """POST one edge delta; returns the dataset's new graph version."""
-        reply = self.query(
-            {
-                "type": "append_delta",
-                "dataset": dataset,
-                "timestamp": int(timestamp),
-                "insert": [[int(u), int(v)] for u, v in insert],
-                "delete": [[int(u), int(v)] for u, v in delete],
-                **kwargs,
-            }
-        )
-        return reply["graph_version"]
+        payload = {
+            "type": "append_delta",
+            "dataset": dataset,
+            "timestamp": timestamp,
+            "insert": insert,
+            "delete": delete,
+            **kwargs,
+        }
+        return self.query(_encode_value(payload))["graph_version"]
 
     def stats(self) -> dict:
         return self._request("GET", "/stats")
@@ -383,9 +294,3 @@ class HTTPServiceClient:
 
     def close(self) -> None:
         self._conn.close()
-
-    def __enter__(self) -> "HTTPServiceClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

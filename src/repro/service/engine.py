@@ -1,6 +1,6 @@
 """Query engine: request vocabulary, coalescing and the cache hit-path.
 
-The engine answers four request shapes — the questions the paper's
+The engine answers six query types.  Four are the questions the paper's
 pipeline asks of a graph, recast as on-demand queries:
 
 * :class:`MixingTimeQuery` — "mixing time from node *v* at ε" (the
@@ -24,6 +24,15 @@ Trend queries are never coalesced (each is already a whole sweep) and
 their cache keys are built from :attr:`TemporalGraph.version` — a hash
 chaining the base snapshot and every delta — so :meth:`append_delta`
 invalidates exactly the entries whose answers it changed.
+
+**One declaration per type.**  Each type is one frozen dataclass
+(:class:`Query`) declaring its fields with their converters, which
+fields enter the cache key, which hold node ids, whether it is a trend,
+whether it coalesces, and its compute function.  The rest is derived
+from :data:`QUERY_TYPES`: coercion, bucket, fingerprint and node checks
+here, the verbs of the engine and both clients (:class:`QueryVerbs`),
+and the wire codec's :func:`~repro.service.client.build_query`.  The
+engine's request path has no per-type branch.
 
 **Coalescing.**  Point-mass queries (mixing time, variation curve) that
 arrive within one batching window and share a bucket — same graph,
@@ -55,11 +64,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.mixing import MEASUREMENT_MODES
 from ..core.runtime import ExecutionPolicy
 from ..errors import ConfigurationError
 from ..obs import OBS
@@ -67,11 +77,14 @@ from .cache import ResultCache
 from .registry import OperatorRegistry
 
 __all__ = [
+    "QUERY_TYPES",
     "AdmissionQuery",
     "MixingTimeQuery",
     "MixingTrendQuery",
+    "Query",
     "QueryEngine",
     "QueryResult",
+    "QueryVerbs",
     "SlemQuery",
     "SlemTrendQuery",
     "VariationCurveQuery",
@@ -98,243 +111,345 @@ def _warm_nonbacktracking(graph):
     return operator
 
 
-def _coerce(convert, name: str, value):
-    """``convert(value)``, or a :class:`ConfigurationError` naming the field.
+def _scalar(kind, check=None, rule: str = ""):
+    """A converter to ``kind``, refusing values that fail ``check``.
 
-    Every client-supplied field goes through here, so a malformed value
-    is a client error (HTTP 400), never an opaque internal one.
+    Every client-supplied field goes through a converter, so a malformed
+    value is a client error (HTTP 400), never an opaque internal one.
     """
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(
-            f"{name} must be {convert.__name__}, got {value!r}"
-        ) from exc
+
+    def convert(name: str, value):
+        try:
+            out = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(
+                f"{name} must be {kind.__name__}, got {value!r}"
+            ) from exc
+        if check is not None and not check(out):
+            raise ConfigurationError(f"{name} must be {rule}, got {out}")
+        return out
+
+    return convert
 
 
-def _as_int_tuple(name: str, values) -> Tuple[int, ...]:
+# -- field converters: ``convert(name, value) -> value`` ---------------------
+_int = _scalar(int)
+_float = _scalar(float)
+_epsilon = _scalar(float, lambda eps: 0.0 < eps < 1.0, "in (0, 1)")
+
+
+def _at_least(low: int):
+    return _scalar(int, lambda value: value >= low, f">= {low}")
+
+
+def _flag(name: str, value) -> bool:
+    """A bool or the int 0/1; the truthiness of anything else is not asked."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)) and value in (0, 1):
+        return bool(value)
+    raise ConfigurationError(f"{name} must be a bool (or 0/1), got {value!r}")
+
+
+def _int_tuple(name: str, values) -> Tuple[int, ...]:
     """A non-empty tuple of ints (a bare int is a one-element tuple)."""
     if isinstance(values, (int, np.integer)):
         return (int(values),)
     if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
         raise ConfigurationError(f"{name} must be a list of integers, got {values!r}")
-    out = tuple(_coerce(int, name, v) for v in values)
+    out = tuple(_int(name, v) for v in values)
     if not out:
         raise ConfigurationError(f"{name} must be non-empty")
     return out
 
 
-def _as_walk_lengths(walk_lengths) -> Tuple[int, ...]:
+def _increasing(name: str, values) -> Tuple[int, ...]:
+    out = _int_tuple(name, values)
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ConfigurationError(f"{name} must be strictly increasing, got {list(out)}")
+    return out
+
+
+def _walk_lengths(name: str, values) -> Tuple[int, ...]:
     """The sweep kernels' rule: non-empty, nonnegative, strictly increasing."""
-    walks = _as_int_tuple("walk_lengths", walk_lengths)
-    if walks[0] < 0 or any(b <= a for a, b in zip(walks, walks[1:])):
+    out = _increasing(name, values)
+    if out[0] < 0:
+        raise ConfigurationError(f"{name} must be nonnegative, got {list(out)}")
+    return out
+
+
+def _optional(convert):
+    def optional(name: str, value):
+        return None if value is None else convert(name, value)
+
+    return optional
+
+
+def _mode(name: str, value) -> str:
+    if value not in MEASUREMENT_MODES:
         raise ConfigurationError(
-            f"walk_lengths must be strictly increasing and nonnegative, got {list(walks)}"
+            f"unknown measurement mode {value!r}; expected one of {MEASUREMENT_MODES}"
         )
-    return walks
+    return value
 
 
-def _check_sources(query, num_states: int) -> None:
-    """Reject node ids outside the leased graph.
+def _arg(convert=None, default=MISSING, *, key=True, node=False, if_none=None):
+    """Declare one query field.
 
-    Point-query sources, and an admission query's verifier and suspects,
-    are checked before the cache and before coalescing, so one bad id is
-    a client error for its own request and never fails a merged sweep.
-    Admission suspects may also name the planted sybil region, which
-    exists when the query carries attack edges (ids ``n .. n +
-    num_sybil - 1``).
+    ``convert(name, value)`` coerces and checks the value on construction
+    (``None``: taken as given).  ``key=True`` hashes the field into the
+    cache key, ``False`` leaves it out, and ``"variant"`` hashes it only
+    when the type's first variant field differs from its default, so the
+    default keeps the key it had before the variant existed.  ``if_none``
+    is what a ``None`` value hashes as.  ``node=True`` marks node ids
+    checked against the leased graph; ``node="planted"`` also admits the
+    planted sybil region (:meth:`Query.planted_nodes`).
     """
-    if getattr(query, "mode", "point_mass") == "uniform_start":
-        return
-    if query.query_type == "mixing_time":
-        checks = [("source", (query.source,), num_states)]
-    elif query.query_type == "variation_curve":
-        checks = [("source", query.sources, num_states)]
-    elif query.query_type == "admission":
-        planted = query.attack_strategy is not None and query.num_attack_edges > 0
-        checks = [
-            ("verifier", (query.verifier,), num_states),
-            ("suspect", query.suspects, num_states + (query.num_sybil if planted else 0)),
-        ]
-    else:
-        return
-    for name, ids, limit in checks:
-        for node in ids:
-            if not 0 <= node < limit:
-                raise ConfigurationError(
-                    f"{name} {node} out of range for dataset {query.dataset!r} "
-                    f"with {limit} nodes"
-                )
+    return field(
+        default=default,
+        metadata={"convert": convert, "key": key, "node": node, "if_none": if_none},
+    )
 
 
-def _check_query_mode(mode: str, laziness: float) -> None:
-    from ..core.mixing import MEASUREMENT_MODES
-
-    if mode not in MEASUREMENT_MODES:
-        raise ConfigurationError(
-            f"unknown measurement mode {mode!r}; expected one of {MEASUREMENT_MODES}"
-        )
-    if mode == "non_backtracking" and laziness != 0.0:
-        raise ConfigurationError(
-            "non_backtracking mode does not support laziness"
-        )
+#: Every query type by wire name: the engine's and both clients' verbs,
+#: and the wire codec's :func:`~repro.service.client.build_query`, all
+#: come from this table, which :func:`_declare` fills.
+QUERY_TYPES: Dict[str, type] = {}
 
 
 @dataclass(frozen=True)
-class MixingTimeQuery:
-    """Mixing time from one node: min ``t`` with ``||pi - pi^(v) P^t||_1 < eps``.
+class Query:
+    """One service request; each query type is a frozen subclass.
 
-    ``mode`` selects the estimator (``point_mass`` — the default, the
-    paper's definition —, ``uniform_start`` or ``non_backtracking``; see
-    :data:`repro.core.mixing.MEASUREMENT_MODES`).  ``uniform_start``
-    ignores ``source`` (normalised to the sentinel ``-1`` so all
-    uniform-start requests share one cache entry); non-default modes are
-    answered directly, never coalesced.
+    A type declares, once: its fields with :func:`_arg` (converter, cache
+    key role, node-id role); ``query_type`` (wire and verb name);
+    ``trend`` when it is answered against the engine's temporal graph;
+    any cross-field rule in :meth:`_validate`; and one compute function —
+    ``compute(self, state, policy)``, or, for a type whose requests
+    coalesce, ``compute_batch(queries, lease, policy)``, one sweep that
+    answers every request of a bucket.  :func:`_declare` derives the
+    rest: coercion, bucket, fingerprint, node checks and registration in
+    :data:`QUERY_TYPES`.
     """
 
     dataset: str
-    source: int
-    epsilon: float
-    laziness: float = 0.0
-    max_steps: int = 10_000
-    mode: str = "point_mass"
+
+    query_type: ClassVar[str]
+    trend: ClassVar[bool] = False
+
+    def __post_init__(self):
+        for name, convert in self._converters.items():
+            object.__setattr__(self, name, convert(name, getattr(self, name)))
+        self._validate()
+
+    def _validate(self) -> None:
+        """Cross-field rules, checked after every field is converted."""
+
+    @property
+    def operator_kind(self) -> str:
+        """The operator flavour and its dynamics, part of the cache key."""
+        return f"plain:{self.laziness!r}"
+
+    def planted_nodes(self) -> int:
+        """Ids past the graph that a ``node="planted"`` field may name."""
+        return 0
+
+    def check_nodes(self, num_states: int) -> None:
+        """Reject node ids outside the leased graph.
+
+        Runs before the cache and before coalescing, so one bad id is a
+        client error for its own request and never fails a merged sweep.
+        """
+        for name, planted in self._node_fields:
+            limit = num_states + (self.planted_nodes() if planted else 0)
+            ids = getattr(self, name)
+            for node in ids if isinstance(ids, tuple) else (ids,):
+                if not 0 <= node < limit:
+                    raise ConfigurationError(
+                        f"{name} {node} out of range for dataset {self.dataset!r} "
+                        f"with {limit} nodes"
+                    )
+
+    def coalesces(self) -> bool:
+        """Whether concurrent requests of one :meth:`bucket` share a sweep."""
+        return False
+
+    def bucket(self) -> Tuple:
+        """Coalescing bucket: requests differing only in node ids merge."""
+        return (self.query_type, *(getattr(self, n) for n in self._bucket_fields))
+
+    def fingerprint(self, graph_key: str) -> str:
+        from .keys import query_fingerprint
+
+        variant = self._variant and (
+            getattr(self, self._variant[0][0]) != self._variant_default
+        )
+        params = {}
+        for name, if_none in self._variant_key if variant else self._key:
+            value = getattr(self, name)
+            params[name] = if_none if value is None else value
+        return query_fingerprint(self.query_type, graph_key, self.operator_kind, **params)
+
+    def compute(self, state, policy) -> Any:
+        """The answer against a lease (a temporal graph for trend types)."""
+        return self.compute_batch([self], state, policy)[0]
+
+
+def _declare(cls):
+    """Make ``cls`` a frozen query dataclass and enter it in :data:`QUERY_TYPES`.
+
+    The field metadata is read here, once per type, into the tables the
+    shared methods walk on every request.
+    """
+    cls = dataclass(frozen=True)(cls)
+    declared = [(f, f.metadata) for f in fields(cls)]
+    variant = [f for f, meta in declared if meta.get("key") == "variant"]
+    cls._field_names = tuple(f.name for f, _ in declared)
+    cls._converters = {f.name: meta["convert"] for f, meta in declared if meta.get("convert")}
+    cls._key = tuple((f.name, meta["if_none"]) for f, meta in declared if meta.get("key") is True)
+    cls._variant = tuple((f.name, f.metadata["if_none"]) for f in variant)
+    cls._variant_key = cls._key + cls._variant
+    cls._variant_default = variant[0].default if variant else None
+    cls._node_fields = tuple(
+        (f.name, meta["node"] == "planted") for f, meta in declared if meta.get("node")
+    )
+    cls._bucket_fields = tuple(f.name for f, meta in declared if not meta.get("node"))
+    QUERY_TYPES[cls.query_type] = cls
+    return cls
+
+
+class _WalkQuery(Query):
+    """A walk measurement whose ``mode`` picks the estimator.
+
+    ``point_mass`` (the default, the paper's definition) starts a walk at
+    each node id.  ``uniform_start`` ignores them: each node field is
+    reset to the sentinel ``-1`` in its own shape, so all uniform-start
+    requests share one cache entry.  ``non_backtracking`` walks the
+    Hashimoto arc operator.  See :data:`repro.core.mixing.MEASUREMENT_MODES`.
+    Only point-mass requests coalesce; the other modes answer directly.
+    """
+
+    def _validate(self) -> None:
+        if self.mode == "non_backtracking" and self.laziness != 0.0:
+            raise ConfigurationError("non_backtracking mode does not support laziness")
+        if self.mode == "uniform_start":
+            for name, _ in self._node_fields:
+                object.__setattr__(self, name, self._converters[name](name, -1))
+
+    def check_nodes(self, num_states: int) -> None:
+        if self.mode != "uniform_start":
+            super().check_nodes(num_states)
+
+    def coalesces(self) -> bool:
+        return self.mode == "point_mass"
+
+
+@_declare
+class MixingTimeQuery(_WalkQuery):
+    """Mixing time from one node: min ``t`` with ``||pi - pi^(v) P^t||_1 < eps``."""
+
+    source: int = _arg(_int, node=True)
+    epsilon: float = _arg(_epsilon)
+    laziness: float = _arg(_float, 0.0, key=False)  # keyed as the operator kind
+    max_steps: int = _arg(_at_least(0), 10_000)
+    mode: str = _arg(_mode, "point_mass", key="variant")
 
     query_type = "mixing_time"
 
-    def __post_init__(self):
-        object.__setattr__(self, "source", _coerce(int, "source", self.source))
-        object.__setattr__(self, "epsilon", _coerce(float, "epsilon", self.epsilon))
-        object.__setattr__(self, "laziness", _coerce(float, "laziness", self.laziness))
-        object.__setattr__(self, "max_steps", _coerce(int, "max_steps", self.max_steps))
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigurationError(
-                f"epsilon must be in (0, 1), got {self.epsilon}"
+    @staticmethod
+    def compute_batch(queries, lease, policy) -> List[dict]:
+        """One ε-hitting sweep over the union of the queries' sources."""
+        head = queries[0]
+        union = sorted({q.source for q in queries})
+        if head.mode == "uniform_start":
+            n = lease.operator.num_states
+            hit = lease.operator.distribution_hitting_times(
+                np.full((1, n), 1.0 / n, dtype=np.float64),
+                head.epsilon,
+                max_steps=head.max_steps,
+                policy=policy,
             )
-        if self.max_steps < 0:
-            raise ConfigurationError(
-                f"max_steps must be nonnegative, got {self.max_steps}"
+        elif head.mode == "non_backtracking":
+            from ..core.nonbacktracking import non_backtracking_hitting_times
+
+            hit = non_backtracking_hitting_times(
+                lease.graph,
+                union,
+                head.epsilon,
+                max_steps=head.max_steps,
+                operator=_warm_nonbacktracking(lease.graph),
+                policy=policy,
             )
-        _check_query_mode(self.mode, self.laziness)
-        if self.mode == "uniform_start":
-            object.__setattr__(self, "source", -1)
-
-    @property
-    def operator_kind(self) -> str:
-        return f"plain:{self.laziness!r}"
-
-    def bucket(self) -> Tuple:
-        """Coalescing bucket: queries differing only in source merge."""
-        return (
-            self.query_type,
-            self.dataset,
-            self.laziness,
-            self.epsilon,
-            self.max_steps,
-            self.mode,
-        )
-
-    def fingerprint(self, graph_key: str) -> str:
-        from .keys import query_fingerprint
-
-        # The default mode keeps its historical fingerprint (cache
-        # entries survive the vocabulary extension); non-default modes
-        # answer a different question and key separately.
-        extra = {} if self.mode == "point_mass" else {"mode": self.mode}
-        return query_fingerprint(
-            self.query_type,
-            graph_key,
-            self.operator_kind,
-            source=self.source,
-            epsilon=self.epsilon,
-            max_steps=self.max_steps,
-            **extra,
-        )
+        else:
+            hit = lease.operator.hitting_times(
+                union, head.epsilon, max_steps=head.max_steps, policy=policy
+            )
+        index = {s: i for i, s in enumerate(union)}
+        mode = {} if head.mode == "point_mass" else {"mode": head.mode}
+        return [
+            {
+                "source": int(q.source),
+                "time": int(hit.times[index[q.source]]),
+                "final_distance": float(hit.final_distances[index[q.source]]),
+                "epsilon": float(head.epsilon),
+                **mode,
+            }
+            for q in queries
+        ]
 
 
-@dataclass(frozen=True)
-class VariationCurveQuery:
-    """Variation-distance curve(s): ``||pi - pi^(s) P^w||_1`` over ``w`` grid.
+@_declare
+class VariationCurveQuery(_WalkQuery):
+    """Variation-distance curve(s): ``||pi - pi^(s) P^w||_1`` over ``w`` grid."""
 
-    ``mode`` selects the estimator exactly as on
-    :class:`MixingTimeQuery`; ``uniform_start`` ignores ``sources``
-    (normalised to ``(-1,)``) and returns the single uniform-start
-    curve.
-    """
-
-    dataset: str
-    sources: Tuple[int, ...]
-    walk_lengths: Tuple[int, ...]
-    laziness: float = 0.0
-    mode: str = "point_mass"
+    sources: Tuple[int, ...] = _arg(_int_tuple, node=True)
+    walk_lengths: Tuple[int, ...] = _arg(_walk_lengths)
+    laziness: float = _arg(_float, 0.0, key=False)  # keyed as the operator kind
+    mode: str = _arg(_mode, "point_mass", key="variant")
 
     query_type = "variation_curve"
 
-    def __post_init__(self):
-        object.__setattr__(self, "sources", _as_int_tuple("sources", self.sources))
-        object.__setattr__(self, "walk_lengths", _as_walk_lengths(self.walk_lengths))
-        object.__setattr__(self, "laziness", _coerce(float, "laziness", self.laziness))
-        _check_query_mode(self.mode, self.laziness)
-        if self.mode == "uniform_start":
-            object.__setattr__(self, "sources", (-1,))
+    @staticmethod
+    def compute_batch(queries, lease, policy) -> List[np.ndarray]:
+        """One block sweep over the union of sources, sliced per query."""
+        from ..core.mixing import measure_mixing
 
-    @property
-    def operator_kind(self) -> str:
-        return f"plain:{self.laziness!r}"
-
-    def bucket(self) -> Tuple:
-        """Queries differing only in sources share one block sweep."""
-        return (
-            self.query_type,
-            self.dataset,
-            self.laziness,
-            self.walk_lengths,
-            self.mode,
+        head = queries[0]
+        union = sorted({s for q in queries for s in q.sources})
+        mixing = measure_mixing(
+            lease.graph,
+            list(head.walk_lengths),
+            sources=None if head.mode == "uniform_start" else union,
+            laziness=head.laziness,
+            operator=(
+                _warm_nonbacktracking(lease.graph)
+                if head.mode == "non_backtracking"
+                else lease.operator
+            ),
+            policy=policy,
+            mode=head.mode,
         )
-
-    def fingerprint(self, graph_key: str) -> str:
-        from .keys import query_fingerprint
-
-        extra = {} if self.mode == "point_mass" else {"mode": self.mode}
-        return query_fingerprint(
-            self.query_type,
-            graph_key,
-            self.operator_kind,
-            sources=list(self.sources),
-            walk_lengths=list(self.walk_lengths),
-            **extra,
-        )
+        index = {s: i for i, s in enumerate(union)}
+        return [mixing.distances[[index[s] for s in q.sources], :] for q in queries]
 
 
-@dataclass(frozen=True)
-class SlemQuery:
+@_declare
+class SlemQuery(Query):
     """Second-largest eigenvalue modulus of the transition operator."""
 
-    dataset: str
-    method: str = "sparse"
-    laziness: float = 0.0
+    method: str = _arg(default="sparse")
+    laziness: float = _arg(_float, 0.0, key=False)  # keyed as the operator kind
 
     query_type = "slem"
 
-    def __post_init__(self):
-        object.__setattr__(self, "laziness", _coerce(float, "laziness", self.laziness))
+    def compute(self, lease, policy) -> float:
+        from ..core.spectral import slem
 
-    @property
-    def operator_kind(self) -> str:
-        return f"plain:{self.laziness!r}"
-
-    def bucket(self) -> Tuple:
-        return (self.query_type, self.dataset, self.laziness, self.method)
-
-    def fingerprint(self, graph_key: str) -> str:
-        from .keys import query_fingerprint
-
-        return query_fingerprint(
-            self.query_type, graph_key, self.operator_kind, method=self.method
-        )
+        return float(slem(lease.graph, method=self.method))
 
 
-@dataclass(frozen=True)
-class AdmissionQuery:
+@_declare
+class AdmissionQuery(Query):
     """SybilLimit verdict for ``suspects`` at route length ``route_length``.
 
     Deliberately *not* coalescible: the balance condition makes the
@@ -351,99 +466,100 @@ class AdmissionQuery:
     existing cache entries survive the vocabulary extension.
     """
 
-    dataset: str
-    suspects: Tuple[int, ...]
-    route_length: int
-    verifier: int = 0
-    seed: int = 0
-    num_instances: Optional[int] = None
-    attack_strategy: Optional[str] = None
-    num_sybil: int = 0
-    num_attack_edges: int = 0
-    attack_seed: int = 0
+    suspects: Tuple[int, ...] = _arg(_int_tuple, node="planted")
+    route_length: int = _arg(_at_least(1))
+    verifier: int = _arg(_int, 0, node=True)
+    seed: int = _arg(_int, 0)
+    num_instances: Optional[int] = _arg(_optional(_int), None, if_none=-1)
+    attack_strategy: Optional[str] = _arg(default=None, key="variant")
+    num_sybil: int = _arg(_int, 0, key="variant")
+    num_attack_edges: int = _arg(_int, 0, key="variant")
+    attack_seed: int = _arg(_int, 0, key="variant")
 
     query_type = "admission"
+    operator_kind = "sybillimit"
 
-    def __post_init__(self):
-        object.__setattr__(self, "suspects", _as_int_tuple("suspects", self.suspects))
-        for name in ("route_length", "verifier", "seed", "num_sybil",
-                     "num_attack_edges", "attack_seed"):
-            object.__setattr__(self, name, _coerce(int, name, getattr(self, name)))
-        if self.num_instances is not None:
-            object.__setattr__(
-                self, "num_instances", _coerce(int, "num_instances", self.num_instances)
-            )
-        if self.route_length < 1:
-            raise ConfigurationError(
-                f"route_length must be >= 1, got {self.route_length}"
-            )
+    def _validate(self) -> None:
         if self.attack_strategy is None:
             if self.num_sybil != 0 or self.num_attack_edges != 0:
                 raise ConfigurationError(
                     "num_sybil/num_attack_edges need attack_strategy set"
                 )
+            return
+        from ..sybil.attacks import available_attack_strategies
+
+        if self.attack_strategy not in available_attack_strategies():
+            raise ConfigurationError(
+                f"unknown attack strategy {self.attack_strategy!r}; "
+                f"available: {', '.join(available_attack_strategies())}"
+            )
+        if self.num_attack_edges < 0:
+            raise ConfigurationError("num_attack_edges must be nonnegative")
+        if self.num_attack_edges > 0 and self.num_sybil < 2:
+            raise ConfigurationError(
+                "an attack needs a sybil region of at least 2 nodes"
+            )
+
+    def planted_nodes(self) -> int:
+        planted = self.attack_strategy is not None and self.num_attack_edges > 0
+        return self.num_sybil if planted else 0
+
+    def compute(self, lease, policy) -> dict:
+        from ..sybil.scenario import no_attack_scenario
+        from ..sybil.sybillimit import SybilLimit, SybilLimitParams
+
+        if self.planted_nodes():
+            from ..sybil.attacks import build_attack_scenario
+
+            scenario = build_attack_scenario(
+                lease.graph,
+                self.attack_strategy,
+                num_sybil=self.num_sybil,
+                num_attack_edges=self.num_attack_edges,
+                seed=self.attack_seed,
+            )
         else:
-            from ..sybil.attacks import available_attack_strategies
-
-            if self.attack_strategy not in available_attack_strategies():
-                raise ConfigurationError(
-                    f"unknown attack strategy {self.attack_strategy!r}; "
-                    f"available: {', '.join(available_attack_strategies())}"
-                )
-            if self.num_attack_edges < 0:
-                raise ConfigurationError("num_attack_edges must be nonnegative")
-            if self.num_attack_edges > 0 and self.num_sybil < 2:
-                raise ConfigurationError(
-                    "an attack needs a sybil region of at least 2 nodes"
-                )
-
-    @property
-    def operator_kind(self) -> str:
-        return "sybillimit"
-
-    def bucket(self) -> Tuple:
-        # Unique per query object: admission never merges with anything.
-        return (self.query_type, id(self))
-
-    def fingerprint(self, graph_key: str) -> str:
-        from .keys import query_fingerprint
-
-        # No-attack queries keep their historical key; attack queries
-        # answer a different question and key separately.
-        extra = (
-            {}
-            if self.attack_strategy is None
-            else {
-                "attack_strategy": self.attack_strategy,
-                "num_sybil": self.num_sybil,
-                "num_attack_edges": self.num_attack_edges,
-                "attack_seed": self.attack_seed,
-            }
+            scenario = no_attack_scenario(lease.graph)
+        params = SybilLimitParams(
+            route_length=self.route_length, num_instances=self.num_instances
         )
-        return query_fingerprint(
-            self.query_type,
-            graph_key,
-            self.operator_kind,
+        protocol = SybilLimit(scenario, params, seed=self.seed)
+        outcome = protocol.admission_sweep(
+            self.verifier,
+            [self.route_length],
             suspects=list(self.suspects),
-            route_length=self.route_length,
-            verifier=self.verifier,
             seed=self.seed,
-            num_instances=-1 if self.num_instances is None else self.num_instances,
-            **extra,
-        )
+            policy=policy,
+        )[0]
+        result = {
+            "verifier": int(outcome.verifier),
+            "suspects": [int(s) for s in outcome.suspects],
+            "accepted": [bool(a) for a in outcome.accepted],
+            "intersected": [bool(i) for i in outcome.intersected],
+            "route_length": int(outcome.route_length),
+            "num_instances": int(outcome.num_instances),
+            "admission_rate": float(outcome.admission_rate),
+        }
+        if self.attack_strategy is not None:
+            from ..sybil.metrics import evaluate_admission
+
+            metrics = evaluate_admission(
+                scenario, np.asarray(outcome.suspects), outcome.accepted
+            )
+            result["attack"] = {
+                "strategy": self.attack_strategy,
+                "num_sybil": int(scenario.num_sybil),
+                "num_attack_edges": int(scenario.num_attack_edges),
+                "honest_accepted": int(metrics.honest_accepted),
+                "honest_total": int(metrics.honest_total),
+                "sybil_accepted": int(metrics.sybil_accepted),
+                "sybil_total": int(metrics.sybil_total),
+            }
+        return result
 
 
-def _as_times_tuple(times) -> Optional[Tuple[int, ...]]:
-    if times is None:
-        return None
-    out = _as_int_tuple("times", times)
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ConfigurationError("times must be strictly increasing")
-    return out
-
-
-@dataclass(frozen=True)
-class MixingTrendQuery:
+@_declare
+class MixingTrendQuery(Query):
     """TVD curves across a temporal dataset's windows (fig3-over-time).
 
     ``times=None`` measures every state boundary of the stream; an
@@ -454,54 +570,38 @@ class MixingTrendQuery:
     :attr:`~repro.graph.temporal.TemporalGraph.version`, never coalesced.
     """
 
-    dataset: str
-    walk_lengths: Tuple[int, ...]
-    num_sources: int = 25
-    seed: int = 0
-    times: Optional[Tuple[int, ...]] = None
-    laziness: float = 0.0
+    walk_lengths: Tuple[int, ...] = _arg(_walk_lengths)
+    num_sources: int = _arg(_at_least(1), 25)
+    seed: int = _arg(_int, 0)
+    times: Optional[Tuple[int, ...]] = _arg(_optional(_increasing), None, if_none=())
+    laziness: float = _arg(_float, 0.0, key=False)  # keyed as the operator kind
 
     query_type = "mixing_trend"
+    trend = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "walk_lengths", _as_walk_lengths(self.walk_lengths))
-        object.__setattr__(
-            self, "num_sources", _coerce(int, "num_sources", self.num_sources)
-        )
-        if self.num_sources < 1:
-            raise ConfigurationError(
-                f"num_sources must be >= 1, got {self.num_sources}"
-            )
-        object.__setattr__(self, "seed", _coerce(int, "seed", self.seed))
-        object.__setattr__(self, "times", _as_times_tuple(self.times))
-        object.__setattr__(self, "laziness", _coerce(float, "laziness", self.laziness))
+    def compute(self, temporal, policy) -> dict:
+        from ..core.incremental import mixing_trend
 
-    @property
-    def operator_kind(self) -> str:
-        return f"plain:{self.laziness!r}"
-
-    def bucket(self) -> Tuple:
-        # Unique per query object: a trend is already one whole sweep.
-        return (self.query_type, id(self))
-
-    def fingerprint(self, graph_key: str) -> str:
-        from .keys import query_fingerprint
-
-        # graph_key is TemporalGraph.version here (it covers the delta-log
-        # head), so one append invalidates every trend entry it outdates.
-        return query_fingerprint(
-            self.query_type,
-            graph_key,
-            self.operator_kind,
-            walk_lengths=list(self.walk_lengths),
+        trend = mixing_trend(
+            temporal,
+            list(self.walk_lengths),
             num_sources=self.num_sources,
             seed=self.seed,
-            times=[] if self.times is None else list(self.times),
+            times=self.times,
+            laziness=self.laziness,
+            policy=policy,
         )
+        return {
+            "times": [int(t) for t in trend.times],
+            "walk_lengths": [int(w) for w in trend.walk_lengths],
+            "sources": [int(s) for s in trend.sources],
+            "worst_case": trend.worst_case().tolist(),
+            "average_case": trend.average_case().tolist(),
+        }
 
 
-@dataclass(frozen=True)
-class SlemTrendQuery:
+@_declare
+class SlemTrendQuery(Query):
     """SLEM across a temporal dataset's windows, warm-started by default.
 
     ``warm=False`` forces a cold solve per window (the benchmark
@@ -510,46 +610,62 @@ class SlemTrendQuery:
     so ``warm`` participates in the cache key.
     """
 
-    dataset: str
-    times: Optional[Tuple[int, ...]] = None
-    warm: bool = True
+    times: Optional[Tuple[int, ...]] = _arg(_optional(_increasing), None, if_none=())
+    warm: bool = _arg(_flag, True)
 
     query_type = "slem_trend"
+    trend = True
+    operator_kind = "plain:0.0"
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", _as_times_tuple(self.times))
-        object.__setattr__(self, "warm", bool(self.warm))
+    def compute(self, temporal, policy) -> dict:
+        from ..core.incremental import slem_trend
 
-    @property
-    def operator_kind(self) -> str:
-        return "plain:0.0"
-
-    def bucket(self) -> Tuple:
-        return (self.query_type, id(self))
-
-    def fingerprint(self, graph_key: str) -> str:
-        from .keys import query_fingerprint
-
-        return query_fingerprint(
-            self.query_type,
-            graph_key,
-            self.operator_kind,
-            times=[] if self.times is None else list(self.times),
-            warm=int(self.warm),
-        )
+        trend = slem_trend(temporal, times=self.times, warm=self.warm, policy=policy)
+        return {
+            "times": [int(t) for t in trend.times],
+            "slem": trend.slem.tolist(),
+            "lambda2": trend.lambda2.tolist(),
+            "lambda_min": trend.lambda_min.tolist(),
+            "warm_started": [bool(w) for w in trend.warm_started],
+            "matvecs": [int(m) for m in trend.matvecs],
+        }
 
 
-Query = Union[
-    MixingTimeQuery,
-    VariationCurveQuery,
-    SlemQuery,
-    AdmissionQuery,
-    MixingTrendQuery,
-    SlemTrendQuery,
-]
+class QueryVerbs:
+    """The surface the engine and both clients share.
 
-#: Query types answered against the engine's temporal graphs.
-_TREND_TYPES = ("mixing_trend", "slem_trend")
+    One verb per :data:`QUERY_TYPES` entry, named after its
+    ``query_type``: ``verb(*args, **kwargs)`` takes the type's
+    constructor arguments and hands the type and the arguments to
+    :meth:`_ask`, which by default builds the query and passes it
+    to :meth:`submit`; the HTTP client sends them as a wire payload
+    instead.  Declaring a query type is all it takes to add its verb to
+    the engine and to both clients.  Used as a context manager, each
+    closes on exit.
+    """
+
+    def _ask(self, query_type: type, args: tuple, kwargs: dict) -> "QueryResult":
+        return self.submit(query_type(*args, **kwargs))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _verb(query_type: type):
+    def verb(self, *args, **kwargs) -> "QueryResult":
+        return self._ask(query_type, args, kwargs)
+
+    verb.__name__ = query_type.query_type
+    verb.__qualname__ = f"QueryVerbs.{query_type.query_type}"
+    verb.__doc__ = f"Answer ``{query_type.__name__}(*args, **kwargs)``."
+    return verb
+
+
+for _type in QUERY_TYPES.values():
+    setattr(QueryVerbs, _type.query_type, _verb(_type))
 
 
 @dataclass(frozen=True)
@@ -597,7 +713,7 @@ class _Bucket:
         self.claimed = False
 
 
-class QueryEngine:
+class QueryEngine(QueryVerbs):
     """Long-lived query answering over a warm registry and result cache.
 
     Parameters
@@ -660,29 +776,6 @@ class QueryEngine:
         # against exactly the version its cache key names.
         self._temporal_lock = threading.Lock()
 
-    # -- convenience constructors ----------------------------------------
-    def mixing_time(self, dataset, source, epsilon, **kwargs) -> QueryResult:
-        return self.submit(MixingTimeQuery(dataset, source, epsilon, **kwargs))
-
-    def variation_curve(self, dataset, sources, walk_lengths, **kwargs) -> QueryResult:
-        return self.submit(
-            VariationCurveQuery(dataset, tuple(sources), tuple(walk_lengths), **kwargs)
-        )
-
-    def slem(self, dataset, **kwargs) -> QueryResult:
-        return self.submit(SlemQuery(dataset, **kwargs))
-
-    def admission(self, dataset, suspects, route_length, **kwargs) -> QueryResult:
-        return self.submit(
-            AdmissionQuery(dataset, tuple(suspects), route_length, **kwargs)
-        )
-
-    def mixing_trend(self, dataset, walk_lengths, **kwargs) -> QueryResult:
-        return self.submit(MixingTrendQuery(dataset, tuple(walk_lengths), **kwargs))
-
-    def slem_trend(self, dataset, **kwargs) -> QueryResult:
-        return self.submit(SlemTrendQuery(dataset, **kwargs))
-
     # -- the request path ------------------------------------------------
     def submit(self, query: Query) -> QueryResult:
         """Answer one query (cache hit, coalesced sweep, or direct sweep)."""
@@ -692,56 +785,51 @@ class QueryEngine:
         with OBS.span(
             "service.request", query_type=query.query_type, dataset=query.dataset
         ):
-            if query.query_type in _TREND_TYPES:
-                return self._submit_trend(query, start)
-            laziness = getattr(query, "laziness", 0.0)
-            with self.registry.acquire(query.dataset, laziness=laziness) as lease:
-                _check_sources(query, lease.operator.num_states)
-                key = query.fingerprint(lease.graph_key)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    if OBS.enabled:
-                        OBS.add("service.cache.hits")
-                    return self._finish(
-                        cached, key, True, False, 1, start, query,
-                        graph_version=lease.graph_key,
-                    )
-                if OBS.enabled:
-                    OBS.add("service.cache.misses")
-                if (
-                    self.coalesce_window > 0
-                    and query.query_type in ("mixing_time", "variation_curve")
-                    and getattr(query, "mode", "point_mass") == "point_mass"
-                ):
-                    value, batch_size = self._submit_coalesced(query, key, lease)
-                else:
-                    value = self.cache.put(key, self._compute_direct(query, lease))
-                    batch_size = 1
-                return self._finish(
-                    value, key, False, batch_size > 1, batch_size, start, query,
-                    graph_version=lease.graph_key,
-                )
+            if query.trend:
+                # A trend is computed against exactly the version its key names.
+                with self._temporal_lock:
+                    temporal = self._temporal_locked(query.dataset)
+                    version = temporal.version
+                    answer = self._answer(query, version, self._compute_trend, temporal)
+            else:
+                laziness = getattr(query, "laziness", 0.0)
+                with self.registry.acquire(query.dataset, laziness=laziness) as lease:
+                    query.check_nodes(lease.operator.num_states)
+                    version = lease.graph_key
+                    answer = self._answer(query, version, self._compute_direct, lease)
+            key, value, hit, batch_size = answer
+            latency = time.perf_counter() - start
+            if OBS.enabled:
+                OBS.observe("service.request_seconds", latency)
+                OBS.observe(f"service.{query.query_type}_seconds", latency)
+            if batch_size > 1:
+                with self._stats_lock:
+                    self._coalesced_requests += 1
+            return QueryResult(
+                value=value,
+                fingerprint=key,
+                cache_hit=hit,
+                coalesced=batch_size > 1,
+                batch_size=batch_size,
+                latency_s=latency,
+                graph_version=version,
+            )
 
-    def _finish(
-        self, value, key, hit, coalesced, batch_size, start, query, *,
-        graph_version: str,
-    ):
-        latency = time.perf_counter() - start
+    def _answer(self, query: Query, graph_key: str, compute, state):
+        """``(key, value, cache_hit, batch_size)``: the cached answer, else a
+        coalesced sweep's, else ``compute(query, state)``'s (stored)."""
+        key = query.fingerprint(graph_key)
+        cached = self.cache.get(key)
+        if cached is not None:
+            if OBS.enabled:
+                OBS.add("service.cache.hits")
+            return key, cached, True, 1
         if OBS.enabled:
-            OBS.observe("service.request_seconds", latency)
-            OBS.observe(f"service.{query.query_type}_seconds", latency)
-        if coalesced:
-            with self._stats_lock:
-                self._coalesced_requests += 1
-        return QueryResult(
-            value=value,
-            fingerprint=key,
-            cache_hit=hit,
-            coalesced=coalesced,
-            batch_size=batch_size,
-            latency_s=latency,
-            graph_version=graph_version,
-        )
+            OBS.add("service.cache.misses")
+        if self.coalesce_window > 0 and query.coalesces():
+            value, batch_size = self._submit_coalesced(query, key, state)
+            return key, value, False, batch_size
+        return key, self.cache.put(key, compute(query, state)), False, 1
 
     # -- temporal (trend) path -------------------------------------------
     def _temporal_locked(self, dataset: str):
@@ -772,57 +860,8 @@ class QueryEngine:
             self._temporal[dataset] = temporal
         return temporal
 
-    def _submit_trend(self, query: Query, start: float) -> QueryResult:
-        with self._temporal_lock:
-            temporal = self._temporal_locked(query.dataset)
-            version = temporal.version
-            key = query.fingerprint(version)
-            cached = self.cache.get(key)
-            if cached is not None:
-                if OBS.enabled:
-                    OBS.add("service.cache.hits")
-                return self._finish(
-                    cached, key, True, False, 1, start, query,
-                    graph_version=version,
-                )
-            if OBS.enabled:
-                OBS.add("service.cache.misses")
-            value = self.cache.put(key, self._compute_trend(query, temporal))
-        return self._finish(
-            value, key, False, False, 1, start, query, graph_version=version
-        )
-
     def _compute_trend(self, query: Query, temporal) -> Any:
-        from ..core.incremental import mixing_trend, slem_trend
-
-        if query.query_type == "mixing_trend":
-            trend = mixing_trend(
-                temporal,
-                list(query.walk_lengths),
-                num_sources=query.num_sources,
-                seed=query.seed,
-                times=query.times,
-                laziness=query.laziness,
-                policy=self.policy,
-            )
-            return {
-                "times": [int(t) for t in trend.times],
-                "walk_lengths": [int(w) for w in trend.walk_lengths],
-                "sources": [int(s) for s in trend.sources],
-                "worst_case": trend.worst_case().tolist(),
-                "average_case": trend.average_case().tolist(),
-            }
-        trend = slem_trend(
-            temporal, times=query.times, warm=query.warm, policy=self.policy
-        )
-        return {
-            "times": [int(t) for t in trend.times],
-            "slem": trend.slem.tolist(),
-            "lambda2": trend.lambda2.tolist(),
-            "lambda_min": trend.lambda_min.tolist(),
-            "warm_started": [bool(w) for w in trend.warm_started],
-            "matvecs": [int(m) for m in trend.matvecs],
-        }
+        return query.compute(temporal, self.policy)
 
     def append_delta(
         self, dataset, timestamp, insert=(), delete=(), *,
@@ -900,168 +939,21 @@ class QueryEngine:
         is the PR-1 block-composition invariant; the coalescing-identity
         tests pin it end to end.
         """
-        from ..core.mixing import measure_mixing
-
         queries = [w.query for w in waiters]
-        head = queries[0]
         if OBS.enabled:
             OBS.observe("service.batch_size", len(waiters))
             if len(waiters) > 1:
                 OBS.add("service.coalesced_sweeps")
-        if head.query_type == "mixing_time":
-            union = sorted({q.source for q in queries})
-            index = {s: i for i, s in enumerate(union)}
-            hit = lease.operator.hitting_times(
-                union,
-                head.epsilon,
-                max_steps=head.max_steps,
-                policy=self.policy,
-            )
-            for w in waiters:
-                i = index[w.query.source]
-                w.value = self.cache.put(
-                    w.key,
-                    {
-                        "source": int(w.query.source),
-                        "time": int(hit.times[i]),
-                        "final_distance": float(hit.final_distances[i]),
-                        "epsilon": float(head.epsilon),
-                    },
-                )
-        else:  # variation_curve
-            union = sorted({s for q in queries for s in q.sources})
-            index = {s: i for i, s in enumerate(union)}
-            mixing = measure_mixing(
-                lease.graph,
-                list(head.walk_lengths),
-                sources=union,
-                laziness=head.laziness,
-                operator=lease.operator,
-                policy=self.policy,
-            )
-            for w in waiters:
-                rows = [index[s] for s in w.query.sources]
-                w.value = self.cache.put(w.key, mixing.distances[rows, :])
+        values = queries[0].compute_batch(queries, lease, self.policy)
+        for w, value in zip(waiters, values):
+            w.value = self.cache.put(w.key, value)
         for w in waiters:
             w.batch_size = len(waiters)
             w.event.set()
 
     # -- direct (non-coalesced) computation ------------------------------
     def _compute_direct(self, query: Query, lease) -> Any:
-        from ..core.mixing import measure_mixing
-
-        if query.query_type == "mixing_time":
-            mode = getattr(query, "mode", "point_mass")
-            if mode == "uniform_start":
-                n = lease.operator.num_states
-                uniform = np.full((1, n), 1.0 / n, dtype=np.float64)
-                hit = lease.operator.distribution_hitting_times(
-                    uniform,
-                    query.epsilon,
-                    max_steps=query.max_steps,
-                    policy=self.policy,
-                )
-            elif mode == "non_backtracking":
-                from ..core.nonbacktracking import non_backtracking_hitting_times
-
-                hit = non_backtracking_hitting_times(
-                    lease.graph,
-                    [query.source],
-                    query.epsilon,
-                    max_steps=query.max_steps,
-                    operator=_warm_nonbacktracking(lease.graph),
-                    policy=self.policy,
-                )
-            else:
-                hit = lease.operator.hitting_times(
-                    [query.source],
-                    query.epsilon,
-                    max_steps=query.max_steps,
-                    policy=self.policy,
-                )
-            result = {
-                "source": int(query.source),
-                "time": int(hit.times[0]),
-                "final_distance": float(hit.final_distances[0]),
-                "epsilon": float(query.epsilon),
-            }
-            if mode != "point_mass":
-                result["mode"] = mode
-            return result
-        if query.query_type == "variation_curve":
-            mode = getattr(query, "mode", "point_mass")
-            mixing = measure_mixing(
-                lease.graph,
-                list(query.walk_lengths),
-                sources=None if mode == "uniform_start" else list(query.sources),
-                laziness=query.laziness,
-                operator=(
-                    _warm_nonbacktracking(lease.graph)
-                    if mode == "non_backtracking"
-                    else lease.operator
-                ),
-                policy=self.policy,
-                mode=mode,
-            )
-            return mixing.distances
-        if query.query_type == "slem":
-            from ..core.spectral import slem
-
-            return float(slem(lease.graph, method=query.method))
-        if query.query_type == "admission":
-            from ..sybil.scenario import no_attack_scenario
-            from ..sybil.sybillimit import SybilLimit, SybilLimitParams
-
-            if query.attack_strategy is not None and query.num_attack_edges > 0:
-                from ..sybil.attacks import build_attack_scenario
-
-                scenario = build_attack_scenario(
-                    lease.graph,
-                    query.attack_strategy,
-                    num_sybil=query.num_sybil,
-                    num_attack_edges=query.num_attack_edges,
-                    seed=query.attack_seed,
-                )
-            else:
-                scenario = no_attack_scenario(lease.graph)
-            params = SybilLimitParams(
-                route_length=query.route_length,
-                num_instances=query.num_instances,
-            )
-            protocol = SybilLimit(scenario, params, seed=query.seed)
-            outcome = protocol.admission_sweep(
-                query.verifier,
-                [query.route_length],
-                suspects=list(query.suspects),
-                seed=query.seed,
-                policy=self.policy,
-            )[0]
-            result = {
-                "verifier": int(outcome.verifier),
-                "suspects": [int(s) for s in outcome.suspects],
-                "accepted": [bool(a) for a in outcome.accepted],
-                "intersected": [bool(i) for i in outcome.intersected],
-                "route_length": int(outcome.route_length),
-                "num_instances": int(outcome.num_instances),
-                "admission_rate": float(outcome.admission_rate),
-            }
-            if query.attack_strategy is not None:
-                from ..sybil.metrics import evaluate_admission
-
-                metrics = evaluate_admission(
-                    scenario, np.asarray(outcome.suspects), outcome.accepted
-                )
-                result["attack"] = {
-                    "strategy": query.attack_strategy,
-                    "num_sybil": int(scenario.num_sybil),
-                    "num_attack_edges": int(scenario.num_attack_edges),
-                    "honest_accepted": int(metrics.honest_accepted),
-                    "honest_total": int(metrics.honest_total),
-                    "sybil_accepted": int(metrics.sybil_accepted),
-                    "sybil_total": int(metrics.sybil_total),
-                }
-            return result
-        raise ConfigurationError(f"unknown query type {query.query_type!r}")
+        return query.compute(lease, self.policy)
 
     # -- introspection ---------------------------------------------------
     def stats(self) -> dict:
@@ -1087,9 +979,3 @@ class QueryEngine:
     def close(self) -> None:
         """Retire the warm registry."""
         self.registry.close()
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

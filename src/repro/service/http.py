@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 from ..errors import ReproError
 from ..obs import OBS
-from .client import answer_payload
+from .client import _encode_value, answer_payload
 from .engine import QueryEngine
 
 __all__ = ["ServiceServer"]
@@ -94,7 +94,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/health":
             self._reply(200, {"status": "ok"})
         elif self.path == "/stats":
-            self._reply(200, _jsonable(self.engine.stats()))
+            self._reply(200, _encode_value(self.engine.stats()))
         else:
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
@@ -122,23 +122,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(500, {"error": "internal error", "error_id": error_id})
             return
         self._reply(200, reply)
-
-
-def _jsonable(value):
-    """Best-effort conversion of stats payloads (dataclasses, numpy) to JSON."""
-    from dataclasses import asdict, is_dataclass
-
-    import numpy as np
-
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
 
 
 class ServiceServer:

@@ -42,9 +42,10 @@ def graph_fingerprint(graph) -> str:
 def query_fingerprint(query_type: str, graph_key: str, operator_kind: str, **params) -> str:
     """Cache key of one service query.
 
-    ``query_type`` names the request shape (``"mixing_time"``,
-    ``"variation_curve"``, ``"slem"``, ``"admission"``), ``graph_key``
-    is a :func:`graph_fingerprint`, ``operator_kind`` identifies the
+    ``query_type`` names the request shape (a key of
+    :data:`repro.service.engine.QUERY_TYPES`), ``graph_key`` is a
+    :func:`graph_fingerprint` (or a temporal graph's version for trend
+    queries), ``operator_kind`` identifies the
     operator flavour plus its dynamics (e.g. ``"plain:0.0"`` for the
     simple walk at laziness 0).  Keyword parameters are hashed in sorted
     name order with the same type-tagged encoding as

@@ -135,12 +135,7 @@ class SybilLimit:
         rng = as_rng(seed)
         self._route_seed = int(rng.integers(2**63))
         self._tail_seed = int(rng.integers(2**63))
-        # Cache route tables only when r is small enough that the memory
-        # cost (r * 2m int64) stays under ~256 MB.
-        cache_ok = self._r * 2 * graph.num_edges * 8 <= 256 * 2**20
-        self._routes = RouteInstances(
-            graph, self._r, seed=self._route_seed, cache_tables=cache_ok
-        )
+        self._routes = RouteInstances(graph, self._r, seed=self._route_seed)
 
     @property
     def scenario(self) -> SybilScenario:

@@ -1,7 +1,12 @@
 """Unit tests for the CLI (argument handling; heavy runners are mocked)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import cli
 from repro.errors import (
     CheckpointCorruption,
@@ -247,3 +252,61 @@ class TestDatasetsCommand:
         for name in ("wiki_vote", "dblp", "livejournal_a"):
             assert name in out
         assert "paper: n=614,981" in out
+
+
+# With the server's allocator setting: a sweep-sized block freed on the
+# main thread (as after the first request), then one allocated and freed
+# on each of two live request threads; prints the KiB the process kept.
+_RETAINED_SCRIPT = """
+import sys, threading
+sys.path.insert(0, {src!r})
+import numpy as np
+from repro import cli
+
+cli._one_malloc_arena()
+
+def rss_kib():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+
+def sweep():
+    block = np.ones(2 << 20)  # 16 MiB, an admission key block on physics1
+    del block
+
+def request_thread(swept):
+    sweep()
+    swept.set()
+    done.wait()
+
+sweep()
+before = rss_kib()
+done = threading.Event()
+threads = []
+for _ in range(2):  # one after the other, as requests on two connections
+    swept = threading.Event()
+    threads.append(threading.Thread(target=request_thread, args=(swept,)))
+    threads[-1].start()
+    swept.wait()
+print(rss_kib() - before)
+done.set()
+for thread in threads:
+    thread.join()
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+class TestServeAllocator:
+    def _retained_kib(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        script = _RETAINED_SCRIPT.format(src=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        return int(done.stdout.strip())
+
+    def test_request_threads_reuse_one_freed_block(self):
+        # With an arena per thread glibc keeps both 16 MiB blocks, so the
+        # server's peak depended on which thread had swept what.
+        assert self._retained_kib() < 24 << 10

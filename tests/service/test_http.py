@@ -23,6 +23,8 @@ from repro.service import (
 )
 from repro.service.http import _Handler
 
+from .test_temporal_queries import _fresh_temporal
+
 WALKS = [1, 2, 4, 8]
 SOURCES = [0, 2, 5]
 
@@ -76,6 +78,81 @@ class TestWireIdentity:
         warm = client.slem("era")
         assert not cold.cache_hit and warm.cache_hit
         assert warm.value == cold.value
+
+
+def _engine_with_trends(loader):
+    return QueryEngine(
+        OperatorRegistry(capacity=3, loader=loader),
+        ResultCache(max_entries=64),
+        coalesce_window=0.0,
+        temporal_loader=lambda name: _fresh_temporal(),
+    )
+
+
+#: Every verb, called with numpy-typed arguments wherever it takes numbers.
+NUMPY_CALLS = {
+    "mixing_time": (
+        ("era", np.int64(3), np.float64(0.25)),
+        dict(laziness=np.float32(0.5), max_steps=np.int32(500)),
+    ),
+    "variation_curve": (
+        ("era", np.array([0, 7]), np.array([1, 2, 5])),
+        dict(laziness=np.float64(0.25)),
+    ),
+    "slem": (("era",), dict(laziness=np.float64(0.25))),
+    "admission": (
+        ("era", np.array([1, 2, 5]), np.int64(4)),
+        dict(verifier=np.int64(0), seed=np.int64(4), num_instances=np.int64(3)),
+    ),
+    "mixing_trend": (
+        ("toy", np.array([1, 3])),
+        dict(num_sources=np.int64(4), seed=np.int64(2), times=np.array([10, 20])),
+    ),
+    "slem_trend": (("toy",), dict(times=np.array([0, 20]), warm=np.bool_(False))),
+}
+
+
+class TestNumpyArguments:
+    """The HTTP verbs encode numpy arguments exactly as the engine reads them."""
+
+    @pytest.fixture
+    def pair(self, loader):
+        with ServiceServer(_engine_with_trends(loader), own_engine=True) as srv:
+            host, port = srv.address
+            with HTTPServiceClient(host, port) as http, _engine_with_trends(loader) as local:
+                yield http, local
+
+    def test_every_verb_is_covered(self):
+        from repro.service.engine import QUERY_TYPES
+
+        assert set(NUMPY_CALLS) == set(QUERY_TYPES)
+
+    @pytest.mark.parametrize("verb", sorted(NUMPY_CALLS))
+    def test_numpy_arguments_answer_bit_identically(self, pair, verb):
+        from repro.service.client import encode_result
+
+        http, local = pair
+        args, kwargs = NUMPY_CALLS[verb]
+        served = getattr(http, verb)(*args, **kwargs)
+        expected = encode_result(getattr(local, verb)(*args, **kwargs))
+        assert served.value == expected["value"]
+        assert served.fingerprint == expected["fingerprint"]
+        assert served.graph_version == expected["graph_version"]
+
+    def test_append_delta_with_numpy_arguments(self, pair):
+        http, local = pair
+        delta = (np.int64(30),)
+        kwargs = dict(insert=[(np.int64(2), np.int64(5))], delete=np.array([[1, 5]]))
+        assert http.append_delta("toy", *delta, **kwargs) == local.append_delta(
+            "toy", *delta, **kwargs
+        )
+
+    def test_stringly_warm_is_400(self, pair):
+        from repro.errors import ConfigurationError
+
+        http, _ = pair
+        with pytest.raises(ConfigurationError, match="400.*warm"):
+            http.slem_trend("toy", warm="false")
 
 
 class TestEndpoints:

@@ -23,6 +23,7 @@ from repro.service import (
     ResultCache,
     SlemTrendQuery,
 )
+from repro.service.client import build_query
 
 
 def _fresh_temporal() -> TemporalGraph:
@@ -92,6 +93,19 @@ class TestTrendQueries:
             SlemTrendQuery("toy", times=[20, 10])
         with pytest.raises(ConfigurationError, match="non-empty"):
             MixingTrendQuery("toy", (1, 2), times=[])
+
+    @pytest.mark.parametrize("warm", ["false", "true", "", 2, -1, 1.0, None, [1]])
+    def test_warm_is_a_bool_not_a_truthiness(self, warm):
+        # "false" used to be answered warm: bool("false") is True.
+        with pytest.raises(ConfigurationError, match="warm"):
+            build_query({"type": "slem_trend", "dataset": "toy", "warm": warm})
+
+    @pytest.mark.parametrize("warm", [0, 1, np.int64(1), np.bool_(False)])
+    def test_warm_zero_and_one_are_the_bools(self, warm):
+        query = build_query({"type": "slem_trend", "dataset": "toy", "warm": warm})
+        assert query == SlemTrendQuery("toy", warm=bool(warm))
+        assert query.warm is bool(warm)
+        assert query.fingerprint("gk") == SlemTrendQuery("toy", warm=bool(warm)).fingerprint("gk")
 
     def test_unknown_dataset_raises(self, shared_temporal):
         def loader(name):
