@@ -412,16 +412,13 @@ def _serve(args) -> int:
 
     Binds, prints the served address (machine-parseable first line, for
     smoke scripts binding port 0), and blocks until SIGINT/SIGTERM.
-    A parallel sweep's shared-memory segment is unlinked on every exit
-    path: the sweep closes it when it ends, and
-    :func:`~repro.core.parallel.install_signal_cleanup` covers fatal
-    signals landing mid-request.  Request threads share one malloc arena
+    A ``--workers`` sweep forks its pool from the request thread, and
+    the workers inherit the leased operator: nothing is published that
+    a signal could strand.  Request threads share one malloc arena
     (:func:`_one_malloc_arena`).
     """
-    from .core.parallel import install_signal_cleanup
     from .service import OperatorRegistry, QueryEngine, ResultCache, ServiceServer
 
-    install_signal_cleanup()
     _one_malloc_arena()
     telemetry = args.metrics_out is not None or args.trace_out is not None
     if telemetry:

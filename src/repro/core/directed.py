@@ -209,7 +209,7 @@ def directed_variation_curves(
     The batched companion of :func:`directed_variation_curve`: one
     power-iterated stationary solve, then every source evolved through
     the shared block API — with ``policy.workers > 1`` fanned out across the
-    shared-memory sweep runtime (:mod:`repro.core.parallel`; both the
+    process-pool sweep runtime (:mod:`repro.core.parallel`; both the
     pure-CSR and the teleporting kernel are supported, dangling mask
     included).
     """

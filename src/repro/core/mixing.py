@@ -239,7 +239,7 @@ def measure_mixing(
     policy:
         An :class:`~repro.core.runtime.ExecutionPolicy` bundling all
         execution knobs (workers, block size, retries, shard timeout,
-        checkpoint directory).  ``workers > 1`` runs the shared-memory
+        checkpoint directory).  ``workers > 1`` runs the process-pool
         sweep runtime (:mod:`repro.core.parallel`), bit-for-bit equal
         to serial; ``block_size=None`` sizes chunks from the operator
         layer's memory budget.  Passing ``checkpoint_dir`` makes this
@@ -354,7 +354,7 @@ def estimate_mixing_time(
     early-exit masking: rows whose distance has already fallen below
     ``epsilon`` stop being stepped, so the block shrinks as sources
     converge.  ``policy.workers > 1`` shards the sources across the
-    shared-memory process pool (:mod:`repro.core.parallel`) with
+    fork process pool (:mod:`repro.core.parallel`) with
     bit-for-bit identical results.
 
     Returns a :class:`MixingTimeEstimate`; raises

@@ -408,7 +408,7 @@ class MarkovOperator(ABC):
         :func:`resolve_block_size` so the buffer respects the memory
         budget.  Execution is steered by ``policy`` (an
         :class:`~repro.core.runtime.ExecutionPolicy`): ``workers > 1``
-        fans the chunks out across the fault-tolerant shared-memory pool
+        fans the chunks out across the fault-tolerant fork pool
         (:mod:`repro.core.parallel`) with bit-for-bit identical,
         order-preserving results, and ``checkpoint_dir`` persists/
         resumes completed shards.
@@ -447,7 +447,7 @@ class MarkovOperator(ABC):
         fallen below ``epsilon`` are *retired* from the block (early-exit
         masking), so the SpMM shrinks as sources converge.  Rows that
         never converge within ``max_steps`` get time ``-1``.
-        ``workers > 1`` shards the sources across the shared-memory
+        ``workers > 1`` shards the sources across the fork
         process pool (:mod:`repro.core.parallel`); early-exit masking
         then runs independently inside every worker, and the reassembled
         result is bit-for-bit equal to the serial one.

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..graph import Graph
 from ..obs import OBS
-from .runtime import sweep_fingerprint
+from .runtime import hash_array_chunks, sweep_hasher
 
 __all__ = ["StripedTransitionMatrix", "stripe_bounds"]
 
@@ -227,6 +227,7 @@ class StripedTransitionMatrix:
         self._csc_indptr: Optional[np.ndarray] = None
         self._steps: Dict[Optional[int], Callable[[np.ndarray], np.ndarray]] = {}
         self._dense_cache = None
+        self._csr_hashers: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Matrix-protocol surface
@@ -255,32 +256,63 @@ class StripedTransitionMatrix:
 
     @property
     def path(self) -> Optional[str]:
-        """Backing ``.csr`` container of the graph, when it has one.
-
-        Non-``None`` is what lets the parallel layer publish this
-        operator by *path* — workers re-map the container instead of
-        copying 2m int64s into shared memory.
-        """
+        """Backing ``.csr`` container of the graph, when it has one."""
         return getattr(self._graph, "path", None)
 
-    @property
-    def fingerprint(self) -> str:
-        """Content identity for checkpoint/cache keys.
+    # ------------------------------------------------------------------
+    # Checkpoint key
+    # ------------------------------------------------------------------
+    def csr_rows(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows ``[lo, hi)`` of P's CSR form: ``(columns, values)``.
 
-        Covers the graph's CSR fingerprint (cheap for container-backed
-        graphs — the digest is recorded in the file header) plus the
-        laziness, i.e. exactly the inputs the matrix is a pure function
-        of.
+        Bit-for-bit the slice of ``indices`` / ``data`` the in-memory
+        construction (:class:`~repro.core.walks.TransitionOperator`)
+        holds: row ``i`` carries ``(1 - alpha) / deg(i)`` at its
+        neighbours and ``alpha`` at its sorted diagonal slot.
         """
-        memo = getattr(self._graph, "_memo", None)
-        graph_key = memo.get("graph_fingerprint") if memo is not None else None
-        if graph_key is None:
-            graph_key = sweep_fingerprint(
-                "service.graph", self._graph.indptr, self._graph.indices
+        graph_indptr = self._graph.indptr
+        s0, s1 = int(graph_indptr[lo]), int(graph_indptr[hi])
+        cols = np.asarray(self._graph.indices[s0:s1], dtype=np.int64)
+        degrees = np.diff(np.asarray(graph_indptr[lo:hi + 1], dtype=np.int64))
+        alpha = self._alpha
+        if alpha == 0.0:
+            return cols, np.repeat(self._inv_deg[lo:hi], degrees)
+        vals = np.repeat(self._inv_deg[lo:hi] * (1.0 - alpha), degrees)
+        owner = np.repeat(np.arange(lo, hi, dtype=np.int64), degrees)
+        before_diag = np.bincount((owner - lo)[cols < owner], minlength=hi - lo)
+        insert_at = np.cumsum(degrees) - degrees + before_diag
+        diagonal = np.arange(lo, hi, dtype=np.int64)
+        return np.insert(cols, insert_at, diagonal), np.insert(vals, insert_at, alpha)
+
+    def csr_hasher(self, *prefix):
+        """``sweep_hasher(*prefix)`` fed P's CSR ``data``, ``indices``, ``indptr``.
+
+        The arrays are streamed row stripe by row stripe in the dtypes
+        scipy gives the in-memory matrix (float64 values; int32 indices
+        while they fit), so the digest state equals the one hashing the
+        in-memory matrix and a mapped sweep shares its checkpoint key.
+        Memoised per ``prefix``; returns a copy to finish.
+        """
+        state = self._csr_hashers.get(prefix)
+        if state is None:
+            n = self._graph.num_nodes
+            nnz = self.nnz
+            index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+            bounds = stripe_bounds(self.csc_indptr, _STREAM_DEFAULT_BYTES)
+            spans = list(zip(bounds[:-1], bounds[1:]))
+            state = sweep_hasher(*prefix)
+            # Two passes over the rows: the digest takes every value
+            # before the first column index.
+            hash_array_chunks(
+                state, np.float64, (nnz,), (self.csr_rows(lo, hi)[1] for lo, hi in spans)
             )
-            if memo is not None:
-                memo["graph_fingerprint"] = graph_key
-        return sweep_fingerprint("core.striped_transition", graph_key, self._alpha)
+            hash_array_chunks(
+                state, index, (nnz,), (self.csr_rows(lo, hi)[0] for lo, hi in spans)
+            )
+            # P's pattern is symmetric: its CSR indptr is the CSC one.
+            hash_array_chunks(state, index, (n + 1,), (self.csc_indptr,))
+            self._csr_hashers[prefix] = state
+        return state.copy()
 
     # ------------------------------------------------------------------
     # Stripe protocol (consumed by the streaming kernel)

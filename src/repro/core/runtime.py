@@ -3,11 +3,11 @@ per-shard timeouts, serial degradation and checkpoint/resume.
 
 The paper's headline numbers come from hour-scale sweeps — 1000-source
 TVD curves (equation (2)) and SybilLimit admission sweeps over hundreds
-of route lengths.  The PR-2 shared-memory pool fans those sweeps out
-across processes, but a single SIGKILLed worker (OOM killer, preempted
-container) used to lose the whole run, and the knobs steering the
-runtime had sprawled as ad-hoc kwargs across every call site.  This
-module fixes both:
+of route lengths.  The fork pool of :mod:`repro.core.parallel` fans
+those sweeps out across processes, but a single SIGKILLed worker (OOM
+killer, preempted container) used to lose the whole run, and the knobs
+steering the runtime had sprawled as ad-hoc kwargs across every call
+site.  This module fixes both:
 
 * :class:`ExecutionPolicy` is the single object that carries every
   execution knob — worker count, chunk size, retry budget, per-shard
@@ -70,7 +70,9 @@ __all__ = [
     "ExecutionPolicy",
     "as_policy",
     "run_sharded",
+    "hash_array_chunks",
     "sweep_fingerprint",
+    "sweep_hasher",
 ]
 
 #: Base of the exponential retry backoff (seconds): round ``k`` of
@@ -101,7 +103,7 @@ class ExecutionPolicy:
     Attributes
     ----------
     workers:
-        Process count for the shared-memory pool.  ``None``/``0``/``1``
+        Process count for the fork pool.  ``None``/``0``/``1``
         stay serial, ``-1`` uses every core the process may run on.
     block_size:
         Rows per dense evolution chunk (``None`` → sized from the
@@ -111,9 +113,9 @@ class ExecutionPolicy:
         exception) is retried on a rebuilt pool before it is degraded to
         in-process serial execution.
     shard_timeout:
-        Seconds the parent waits on one shard before declaring it a
-        straggler and re-dispatching (``None`` → wait forever; worker
-        *death* is still detected immediately).
+        Seconds (positive, finite) the parent waits on one shard before
+        declaring it a straggler and re-dispatching (``None`` → wait
+        forever; worker *death* is still detected immediately).
     checkpoint_dir:
         Directory for content-addressed sweep checkpoints; ``None``
         disables checkpointing.  Sweeps sharing a directory never
@@ -177,12 +179,12 @@ class ExecutionPolicy:
             try:
                 t = float(t)
             except (TypeError, ValueError):
+                t = float("nan")
+            if not 0.0 < t < float("inf"):
+                # An infinite wait overflows every future.result(timeout=…).
                 raise ConfigurationError(
-                    f"shard_timeout must be a positive number of seconds, got {t!r}"
-                ) from None
-            if not t > 0.0:
-                raise ConfigurationError(
-                    f"shard_timeout must be a positive number of seconds, got {t!r}"
+                    "shard_timeout must be a positive finite number of seconds, "
+                    f"got {self.shard_timeout!r}"
                 )
             object.__setattr__(self, "shard_timeout", t)
         if self.checkpoint_dir is not None:
@@ -293,8 +295,7 @@ def _hash_part(h, obj) -> None:
         h.update(b"\x00N")
     elif isinstance(obj, np.ndarray):
         a = np.ascontiguousarray(obj)
-        h.update(f"\x00nd:{a.dtype.str}:{a.shape}:".encode())
-        h.update(a.tobytes())
+        hash_array_chunks(h, a.dtype, a.shape, (a,))
     elif isinstance(obj, (bytes, bytearray)):
         h.update(b"\x00by:")
         h.update(bytes(obj))
@@ -315,6 +316,34 @@ def _hash_part(h, obj) -> None:
         )
 
 
+def hash_array_chunks(h, dtype, shape, chunks) -> None:
+    """Feed an array given as consecutive pieces into the digest.
+
+    The bytes equal :func:`_hash_part`'s encoding of the whole array,
+    so an array too large to hold can be hashed piece by piece.
+    """
+    dtype = np.dtype(dtype)
+    h.update(f"\x00nd:{dtype.str}:{tuple(int(v) for v in shape)}:".encode())
+    for chunk in chunks:
+        h.update(np.ascontiguousarray(chunk, dtype=dtype).tobytes())
+
+
+def sweep_hasher(*parts, state=None):
+    """Running digest of a sweep fingerprint: ``state`` fed ``parts``.
+
+    ``state`` defaults to a fresh digest; ``sweep_fingerprint(kind,
+    *parts)`` is ``sweep_hasher(kind, *parts).hexdigest()``.  Lets a
+    caller keep (``.copy()``) the state after a costly prefix, such as a
+    memory-mapped matrix's arrays, and finish it once per sweep.
+    """
+    if state is None:
+        state = hashlib.sha256()
+        state.update(b"repro.runtime.sweep/v1")
+    for part in parts:
+        _hash_part(state, part)
+    return state
+
+
 def sweep_fingerprint(kind: str, *parts) -> str:
     """Content-addressed identity of one sweep.
 
@@ -326,12 +355,7 @@ def sweep_fingerprint(kind: str, *parts) -> str:
     precision ints included, which covers ``SeedSequence.entropy``),
     strings, and nested sequences thereof.
     """
-    h = hashlib.sha256()
-    h.update(b"repro.runtime.sweep/v1")
-    _hash_part(h, kind)
-    for part in parts:
-        _hash_part(h, part)
-    return h.hexdigest()
+    return sweep_hasher(kind, *parts).hexdigest()
 
 
 def _shard_digest(fingerprint: str, lo: int, hi: int, parts) -> str:
@@ -562,11 +586,12 @@ def _worker_shard(args):
     """Module-level pool task: fault injection, then the shard itself.
 
     ``args`` is ``(kind, shard_index, task, timed)``: ``task`` is the
-    ``(payload, run, args)`` triple built by
-    :func:`repro.core.parallel._fan_out`, and ``timed`` mirrors the
-    parent's telemetry flag.  Worker-side registries die with the child,
-    so when it is set the result travels back wrapped as
-    ``(elapsed, attach_seconds, pid, result)``.
+    ``(token, run, args)`` triple built by
+    :func:`repro.core.parallel._fan_out`, whose token names the sweep
+    state this worker inherited from the parent, and ``timed`` mirrors
+    the parent's telemetry flag.  Worker-side registries die with the
+    child, so when it is set the result travels back wrapped as
+    ``(elapsed, pid, result)``.
     """
     _kind, shard_index, task, timed = args
     from . import parallel
@@ -577,7 +602,7 @@ def _worker_shard(args):
     start = time.perf_counter()
     result = parallel._run_task(task)
     elapsed = time.perf_counter() - start
-    return elapsed, parallel._ATTACH_SECONDS_PENDING, os.getpid(), result
+    return elapsed, os.getpid(), result
 
 
 # ----------------------------------------------------------------------
@@ -793,10 +818,8 @@ def _execute_pool(
                             OBS.add("runtime.retry.error")
                         continue
                     if timed:
-                        elapsed, attach_seconds, pid, value = value
+                        elapsed, pid, value = value
                         OBS.observe(f"parallel.task_seconds.{kind}", elapsed)
-                        if attach_seconds > 0.0:
-                            OBS.observe("parallel.attach_seconds", attach_seconds)
                         pids[pid] = pids.get(pid, 0) + 1
                     finish(lo, hi, value)
                 failed.extend(unsubmitted)

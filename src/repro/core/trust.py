@@ -134,8 +134,8 @@ def _originator_curves(
 
     One function, two execution contexts: the serial path below calls it
     with the full source list, and :mod:`repro.core.parallel` calls it
-    on each shard (in pool workers, with CSR/``pi`` views attached to
-    the published segment).  Rows are independent (each row's bias
+    on each shard (in pool workers, on the CSR matrix and ``pi`` they
+    inherit from the parent).  Rows are independent (each row's bias
     targets its *own* originator), so the split is bit-for-bit neutral.
     """
 
@@ -170,7 +170,7 @@ def originator_biased_curves(
     own operator (``P'_i = beta * (jump to sources[i]) + (1 - beta) P``),
     so the per-row bias injection happens inside the block step — one
     SpMM per step still advances all sources at once.
-    ``policy.workers > 1`` shards the sources across the shared-memory process pool
+    ``policy.workers > 1`` shards the sources across the fork process pool
     (:mod:`repro.core.parallel`) with identical results.
     """
     if not 0.0 <= beta < 1.0:

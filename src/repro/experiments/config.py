@@ -70,8 +70,8 @@ class ExperimentConfig:
         Optional :class:`~repro.core.runtime.ExecutionPolicy` bundling
         *all* execution knobs (workers, block size, retries, shard
         timeout, checkpoint directory, memory budget); runners
-        read it via :attr:`execution_policy`, and it runs on the fork +
-        shared-memory process pool when ``workers`` exceeds one.  Its
+        read it via :attr:`execution_policy`, and it runs on the fork
+        process pool when ``workers`` exceeds one.  Its
         ``workers`` is validated at construction time by
         :func:`validate_workers`.  Set via the ``--workers``/
         ``--block-size``/``--checkpoint-dir``/``--max-retries``/

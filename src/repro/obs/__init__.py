@@ -4,7 +4,7 @@ Three pieces, one process-wide registry:
 
 * **Metrics** (:mod:`repro.obs.metrics`) — named counters, gauges and
   histogram summaries plus monotonic timers, recorded by the hot paths
-  (operator block evolution, the shared-memory parallel runtime, the
+  (operator block evolution, the process-pool runtime, the
   spectral back-ends) through near-zero-cost guards.
 * **Spans** (:mod:`repro.obs.spans`) — nested trace regions with
   structured attributes and timestamped events (per-step TVD convergence

@@ -1,19 +1,19 @@
 """Mixing-time-as-a-service: a long-lived query layer over the runtime.
 
 Everything before this package was batch-shaped: a CLI invocation built
-its operators, published shared memory, swept, printed and exited.  The
+its operators, swept, printed and exited.  The
 paper's quantity, however, is naturally *per-node on demand* — "how long
 until a walk from v is within ε of stationary?" is a question a Sybil
 defense asks about one suspect at a time, millions of times.  This
-package turns the PR 1-5 substrate (block kernels, zero-copy operator
-publication, :class:`~repro.core.runtime.ExecutionPolicy`,
-content-addressed fingerprints) into serving infrastructure:
+package turns the PR 1-5 substrate (block kernels, the fork pool,
+:class:`~repro.core.runtime.ExecutionPolicy`, content-addressed
+fingerprints) into serving infrastructure:
 
 * :class:`~repro.service.registry.OperatorRegistry` — constructs
   operators once and keeps them **warm** across requests, with
-  ref-counted leases and LRU eviction.  It holds no shared memory: a
-  ``workers > 1`` sweep publishes its operator for that sweep only,
-  exactly as a batch sweep does.
+  ref-counted leases and LRU eviction.  A ``workers > 1`` sweep forks
+  its pool after the lease, so the workers inherit the warm operator,
+  exactly as in a batch sweep.
 * :class:`~repro.service.engine.QueryEngine` — the request vocabulary
   (mixing time from node v at ε, variation curves for sources S, current
   SLEM, admission decision for suspect s at w, and two trends), each

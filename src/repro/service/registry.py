@@ -13,12 +13,10 @@ dominate the actual sweep.  The registry amortises both:
   the duration of a request; LRU eviction only ever retires entries with
   zero live leases, and :meth:`OperatorRegistry.close` drops the table.
 
-The registry holds no shared memory.  A sweep at ``workers > 1``
-publishes the leased operator through
-:func:`repro.core.parallel.publish_operator` and unlinks the segment
-when it ends, exactly like a batch sweep.  Publishing costs at most
-~1.5% of such a call, so keeping segments warm bought nothing
-measurable.
+A sweep at ``workers > 1`` forks its pool while it holds the lease, so
+the workers step the registry's own operator, inherited through
+``fork`` exactly as in a batch sweep; the registry keeps nothing for
+the pool.
 
 Thread-safety: one re-entrant lock guards the table; operator
 construction happens outside the lock (slow) with a per-key build latch

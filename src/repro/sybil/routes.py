@@ -566,7 +566,7 @@ class RouteInstances:
         ``length`` must be >= 1 (a route's tail is its last traversed
         edge, so a zero-length route has none).  ``policy.block_size``
         bounds the instances materialised at once; ``policy.workers``
-        fans instance blocks out across the shared-memory fork pool
+        fans instance blocks out across the fork pool
         (bit-for-bit equal to the serial path, see module docstring).
         """
         if length < 1:

@@ -128,7 +128,7 @@ class SybilGuard:
         """Admit ``suspects`` (default: all other nodes) for one verifier.
 
         ``policy.workers`` shards the per-slot intersection scan across the
-        shared-memory fork pool; serial and parallel verdicts are
+        fork pool; serial and parallel verdicts are
         bit-for-bit identical (boolean ORs, positional reassembly).
         """
         policy = as_policy(policy)

@@ -307,7 +307,7 @@ class SybilLimit:
         Routes are advanced incrementally, so the sweep costs one pass to
         ``max(walk_lengths)`` regardless of how many checkpoints it has.
         ``policy.workers`` fans the route-tail computation (the dominant cost)
-        out across the shared-memory fork pool; verdicts are bit-for-bit
+        out across the fork pool; verdicts are bit-for-bit
         identical to the serial sweep at any worker count.
         """
         policy = as_policy(policy)

@@ -79,7 +79,7 @@ def sybilrank(
     iterations:
         Power-iteration count; ``None`` → ``ceil(log2 n)``.
     policy:
-        Routed to the shared-memory sweep runtime
+        Routed to the process-pool sweep runtime
         (:meth:`~repro.core.operators.MarkovOperator.evolve_block`).
         The single aggregated trust vector is one block row, so it runs
         serially either way; multi-community deployments that propagate

@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 
 from repro.core.outofcore import StripedTransitionMatrix, stripe_bounds
-from repro.core.parallel import describe_operator, parallel_backend_available
+from repro.core.parallel import (
+    _operator_fingerprint,
+    describe_operator,
+    parallel_backend_available,
+)
 from repro.core.runtime import ExecutionPolicy
 from repro.core.walks import TransitionOperator
 from repro.generators.chunked import chunked_community_csr
@@ -22,7 +26,7 @@ from repro.graph import open_csr, save_csr
 
 needs_pool = pytest.mark.skipif(
     not parallel_backend_available(),
-    reason="fork + shared-memory backend unavailable",
+    reason="fork pool unavailable",
 )
 
 
@@ -150,41 +154,95 @@ def test_memory_budget_alone_stripes_mapped_graph(tmp_path, monkeypatch):
 
 class TestDescribeAndPublish:
     def test_mmap_kind(self, mapped_pair):
+        """A mapped base-kernel operator is described as the in-memory
+        ``"csr"`` kind, over its striped matrix (nothing materialised)."""
         _graph, mapped = mapped_pair
         op = TransitionOperator(mapped, laziness=0.1)
         described = describe_operator(op)
         assert described is not None
         kind, matrix, extras = described
-        assert kind == "mmap"
-        assert matrix.path is not None and extras == {}
+        assert kind == "csr"
+        assert matrix is op._matrix and extras == {}
 
     def test_anonymous_striped_not_published(self, er_medium):
-        """A striped matrix without a backing container stays serial."""
+        """A striped matrix without a backing container is keyed by its
+        content like a mapped one: nothing is published either way."""
         op = TransitionOperator(er_medium)
         op._matrix = StripedTransitionMatrix(er_medium)
-        assert describe_operator(op) is None
+        assert describe_operator(op)[0] == "csr"
 
-    @needs_pool
-    def test_worker_rebuild_bit_identical(self, mapped_pair):
-        from repro.core.parallel import _worker_operator, publish_operator
+
+def _curves_key(operator, sources, walks):
+    reference = operator.stationary()
+    return _operator_fingerprint(
+        "curves", *describe_operator(operator), reference, sources, walks
+    )
+
+
+@pytest.mark.parametrize("laziness", [0.0, 0.25])
+class TestMappedCheckpointKey:
+    """The same graph gets the same checkpoint key in memory and mapped."""
+
+    def test_key_equals_in_memory_key(self, mapped_pair, laziness):
+        graph, mapped = mapped_pair
+        sources = np.arange(0, graph.num_nodes, 3, dtype=np.int64)
+        walks = np.asarray([1, 2, 6])
+        mapped_op = TransitionOperator(mapped, laziness=laziness)
+        want = _curves_key(TransitionOperator(graph, laziness=laziness), sources, walks)
+        assert _curves_key(mapped_op, sources, walks) == want
+        assert _curves_key(mapped_op, sources, walks) == want  # memoised prefix
+
+    @pytest.mark.parametrize("first", ["memory", "mapped"])
+    @pytest.mark.parametrize("sweep", ["curves", "hitting"])
+    def test_each_resumes_the_other(self, mapped_pair, tmp_path, laziness, first, sweep):
+        from repro.obs import OBS
 
         graph, mapped = mapped_pair
-        op = TransitionOperator(mapped)
-        oracle_op = TransitionOperator(graph)
-        reference = oracle_op.stationary()
-        sources = np.arange(0, graph.num_nodes, 4, dtype=np.int64)
-        walks = [1, 3, 7]
-        kind, matrix, _extras = describe_operator(op)
-        with publish_operator(kind, matrix, reference) as handle:
-            worker_op, worker_ref = _worker_operator(handle.payload)
-            assert np.array_equal(worker_ref, reference)
-            got = worker_op.variation_curves(
-                sources,
-                walks,
-                reference=worker_ref,
-                policy=ExecutionPolicy(memory_budget=4096),
-            )
-        assert np.array_equal(got, oracle_op.variation_curves(sources, walks))
+        sources = np.arange(0, graph.num_nodes, 2, dtype=np.int64)
+        ckpt = tmp_path / "ckpt"
+        policy = ExecutionPolicy(checkpoint_dir=ckpt, block_size=8, memory_budget=4096)
+
+        def run(g):
+            op = TransitionOperator(g, laziness=laziness)
+            if sweep == "curves":
+                return op.variation_curves(sources, [1, 2, 6], policy=policy)
+            return op.hitting_times(sources, 0.2, max_steps=40, policy=policy).times
+
+        graphs = {"memory": graph, "mapped": mapped}
+        second = "mapped" if first == "memory" else "memory"
+        written = run(graphs[first])
+        OBS.reset()
+        OBS.enable()
+        try:
+            resumed = run(graphs[second])
+            counters = OBS.snapshot()["counters"]
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert np.array_equal(resumed, written)
+        assert len(list(ckpt.iterdir())) == 1
+        assert counters["runtime.checkpoint.loaded_rows"] == sources.size
+        assert "runtime.checkpoint.saved_shards" not in counters  # none recomputed
+
+    def test_mapped_checkpoint_never_materialises(
+        self, mapped_pair, tmp_path, laziness, monkeypatch
+    ):
+        graph, mapped = mapped_pair
+
+        def refuse(self):
+            raise AssertionError("mapped checkpointing materialised the matrix")
+
+        monkeypatch.setattr(StripedTransitionMatrix, "tocsr", refuse)
+        sources = np.arange(0, graph.num_nodes, 2, dtype=np.int64)
+        ckpt = tmp_path / "ckpt"
+        policy = ExecutionPolicy(checkpoint_dir=ckpt)
+        got = TransitionOperator(mapped, laziness=laziness).variation_curves(
+            sources, [1, 2, 6], policy=policy
+        )
+        oracle = TransitionOperator(graph, laziness=laziness)
+        assert np.array_equal(got, oracle.variation_curves(sources, [1, 2, 6]))
+        (key_dir,) = ckpt.iterdir()
+        assert key_dir.name == "curves-" + _curves_key(oracle, sources, np.asarray([1, 2, 6]))[:32]
 
 
 @needs_pool
@@ -232,12 +290,16 @@ def test_checkpoint_resume_bit_identical(mapped_pair, tmp_path):
     assert np.array_equal(resumed, oracle)
 
 
-def test_fingerprint_covers_graph_and_laziness(mapped_pair):
+def test_fingerprint_covers_graph_and_laziness(mapped_pair, petersen, tmp_path):
     _graph, mapped = mapped_pair
-    a = StripedTransitionMatrix(mapped, laziness=0.0).fingerprint
-    b = StripedTransitionMatrix(mapped, laziness=0.1).fingerprint
-    c = StripedTransitionMatrix(mapped, laziness=0.0).fingerprint
-    assert a == c and a != b
+    save_csr(petersen, tmp_path / "other.csr")
+    other = open_csr(tmp_path / "other.csr")
+    sources, walks = np.asarray([0, 1, 2]), np.asarray([1, 2])
+    a = _curves_key(TransitionOperator(mapped, laziness=0.0), sources, walks)
+    b = _curves_key(TransitionOperator(mapped, laziness=0.1), sources, walks)
+    c = _curves_key(TransitionOperator(mapped, laziness=0.0), sources, walks)
+    d = _curves_key(TransitionOperator(other, laziness=0.0), sources, walks)
+    assert a == c and len({a, b, d}) == 3
 
 
 def test_memory_budget_policy_validation():

@@ -1,11 +1,11 @@
 """Serial == parallel, bit-for-bit (`repro.core.parallel`).
 
-The shared-memory sweep runtime's whole contract is that ``workers`` is
+The process-pool sweep runtime's whole contract is that ``workers`` is
 *only* a speed knob: for every operator flavour, worker count, shard
 boundary and ragged source count, the parallel output must be
 ``np.array_equal`` (no tolerance) to the serial block path.  This suite
 pins that contract, plus the fallback rules that route back to the
-serial path and the publish/attach plumbing itself.
+serial path.
 
 The equivalence tests are skipped automatically on platforms without the
 fork start method (the runtime itself falls back to serial there, so
@@ -30,13 +30,10 @@ from repro.core import (
     resolve_workers,
 )
 from repro.core.parallel import (
-    _ATTACHED,
-    _worker_operator,
     describe_operator,
     maybe_parallel_evolve_block,
     maybe_parallel_hitting_times,
     maybe_parallel_variation_curves,
-    publish_operator,
 )
 from repro.core.runtime import ExecutionPolicy
 from repro.obs import OBS
@@ -44,7 +41,7 @@ from tests.core.test_operators import ALL_KINDS, _er_graph, make_operator
 
 needs_pool = pytest.mark.skipif(
     not parallel_backend_available(),
-    reason="fork + shared-memory backend unavailable; runtime is serial here",
+    reason="fork pool unavailable; runtime is serial here",
 )
 
 WORKER_COUNTS = [2, 4]
@@ -117,14 +114,24 @@ class TestFallbackRules:
         assert serial.shape == pooled.shape == (0, 2)
         assert np.array_equal(serial, pooled)
 
-    def test_unknown_apply_block_falls_back(self):
+    @needs_pool
+    def test_unknown_apply_block_runs_pooled_unchecked(self, tmp_path):
+        """A custom step runs on the pool (workers inherit the operator
+        itself) and equals serial, but no checkpoint key describes it."""
+
         class Exotic(TransitionOperator):
             def _apply_block(self, block):
                 return super()._apply_block(block)
 
         op = Exotic(_er_graph())
         assert describe_operator(op) is None
-        assert self._call_curves(op, [0, 1, 2, 3], workers=4) is None
+        sources = [0, 1, 2, 3, 5, 8]
+        serial = op.variation_curves(sources, [0, 1, 2])
+        pooled = self._call_curves(op, sources, workers=2)
+        assert pooled is not None and np.array_equal(pooled, serial)
+        policy = ExecutionPolicy(workers=2, checkpoint_dir=tmp_path)
+        assert np.array_equal(op.variation_curves(sources, [0, 1, 2], policy=policy), serial)
+        assert list(tmp_path.iterdir()) == []
 
     def test_evolve_zero_steps_falls_back(self):
         op = make_operator("plain")
@@ -159,34 +166,6 @@ class TestDescribeOperator:
         op = make_operator("plain")
         _kind, matrix, _extras = describe_operator(op)
         assert np.array_equal(matrix.toarray(), op._matrix.toarray())
-
-
-# ----------------------------------------------------------------------
-# Publish / attach plumbing
-# ----------------------------------------------------------------------
-class TestPublishAttach:
-    def test_roundtrip_views_match_source_arrays(self):
-        op = make_operator("teleport")
-        kind, matrix, extras = describe_operator(op)
-        pi = op.stationary()
-        handle = publish_operator(kind, matrix, pi, **extras)
-        try:
-            rebuilt, reference = _worker_operator(handle.payload)
-            assert rebuilt.num_states == op.num_states
-            assert np.array_equal(rebuilt._matrix.toarray(), matrix.toarray())
-            assert np.array_equal(reference, pi)
-            assert not reference.flags.writeable  # shared state is read-only
-            # Same attached entry is reused (memoised per segment).
-            again, _ = _worker_operator(handle.payload)
-            assert again is rebuilt
-            # The rebuilt operator reproduces the serial kernel exactly.
-            block = op.point_mass_block([0, 1, 2])
-            assert np.array_equal(rebuilt.step_block(block), op.step_block(block))
-        finally:
-            entry = _ATTACHED.pop(handle.payload.shm_name, None)
-            if entry is not None:
-                del entry  # drop views before closing the mapping
-            handle.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,155 +1,83 @@
-"""Exception safety of the shared-memory publication path.
+"""A pooled sweep leaves nothing behind it on the host.
 
-A failed publish or attach must never strand a segment in ``/dev/shm``
-(the parent would leak named shared memory until reboot) or leave a
-half-built entry in the worker attach cache.  These tests force failures
-at each stage by monkeypatching the module-level helpers the paths were
-factored through, and assert the segment namespace is clean afterwards.
+Pool workers inherit the sweep's state through ``fork``, so a sweep
+creates no named shared memory (nothing in ``/dev/shm`` to strand if
+the process dies mid-sweep) and never starts multiprocessing's resource
+tracker, the helper process that outlives its parent unless stopped.
 """
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import random as sparse_random
 
-from repro.core.parallel import (
-    _ATTACHED,
-    _attach,
-    _build_views,
-    _copy_fields,
-    publish_operator,
-)
+from repro.core import parallel_backend_available
 
 _SHM_DIR = Path("/dev/shm")
 
 needs_shm_dir = pytest.mark.skipif(
     not _SHM_DIR.is_dir(), reason="/dev/shm not present on this platform"
 )
-
-
-def _matrix(n=12, seed=3):
-    m = sparse_random(n, n, density=0.4, random_state=np.random.default_rng(seed))
-    return m.tocsr()
+needs_pool = pytest.mark.skipif(not parallel_backend_available(), reason="no pool backend")
 
 
 def _segments():
     return set(os.listdir(_SHM_DIR))
 
 
-class _CopyBoom(RuntimeError):
-    pass
-
-
 @needs_shm_dir
-class TestPublishFailure:
-    def test_copy_failure_unlinks_segment(self, monkeypatch):
-        before = _segments()
-
-        def exploding_copy(shm, fields, named):
-            raise _CopyBoom("simulated copy failure")
-
-        monkeypatch.setattr("repro.core.parallel._copy_fields", exploding_copy)
-        with pytest.raises(_CopyBoom):
-            publish_operator("csr", _matrix(), np.full(12, 1 / 12))
-        assert _segments() == before  # nothing stranded
-
-    def test_partial_copy_failure_unlinks_segment(self, monkeypatch):
-        """Failure midway through the copy (not before it) also cleans up."""
-        before = _segments()
-        original = _copy_fields
-        calls = {"n": 0}
-
-        def flaky_copy(shm, fields, named):
-            calls["n"] += 1
-            original(shm, fields[:1], named[:1])  # copy one field, then die
-            raise _CopyBoom("simulated mid-copy failure")
-
-        monkeypatch.setattr("repro.core.parallel._copy_fields", flaky_copy)
-        with pytest.raises(_CopyBoom):
-            publish_operator("csr", _matrix())
-        assert calls["n"] == 1
-        assert _segments() == before
-
-    def test_successful_publish_cleans_up_on_close(self):
-        before = _segments()
-        handle = publish_operator("csr", _matrix(), np.full(12, 1 / 12))
-        assert len(_segments()) == len(before) + 1
-        handle.close()
-        assert _segments() == before
-
-    def test_context_manager_cleans_up_on_body_exception(self):
-        before = _segments()
-        with pytest.raises(_CopyBoom):
-            with publish_operator("csr", _matrix()):
-                raise _CopyBoom("body failure")
-        assert _segments() == before
-
-    def test_close_is_idempotent(self):
-        handle = publish_operator("csr", _matrix())
-        handle.close()
-        handle.close()  # second close must not raise
-
-
-@needs_shm_dir
-class TestAttachFailure:
-    def test_view_failure_detaches_and_leaves_parent_owner(self, monkeypatch):
-        before = _segments()
-        handle = publish_operator("csr", _matrix(), np.full(12, 1 / 12))
-        try:
-            payload = handle.payload
-
-            def exploding_views(shm, fields):
-                raise _CopyBoom("simulated view failure")
-
-            monkeypatch.setattr("repro.core.parallel._build_views", exploding_views)
-            with pytest.raises(_CopyBoom):
-                _attach(payload)
-            # No half-built cache entry; the parent still owns the name.
-            assert payload.shm_name not in _ATTACHED
-            assert any(payload.shm_name.lstrip("/") in s for s in _segments())
-        finally:
-            handle.close()
-        assert _segments() == before
-
-    def test_attach_succeeds_after_earlier_failure(self, monkeypatch):
-        """A failed attach must not poison later attaches to the name."""
-        handle = publish_operator("csr", _matrix(), np.full(12, 1 / 12))
-        try:
-            payload = handle.payload
-            boom = {"armed": True}
-            original = _build_views
-
-            def flaky_views(shm, fields):
-                if boom["armed"]:
-                    boom["armed"] = False
-                    raise _CopyBoom("first attach fails")
-                return original(shm, fields)
-
-            monkeypatch.setattr("repro.core.parallel._build_views", flaky_views)
-            with pytest.raises(_CopyBoom):
-                _attach(payload)
-            _shm, views, _cache = _attach(payload)  # second try succeeds
-            assert "data" in views and "reference" in views
-            np.testing.assert_array_equal(
-                views["reference"], np.full(12, 1 / 12)
-            )
-        finally:
-            _ATTACHED.pop(handle.payload.shm_name, None)
-            handle.close()
-
-
-@needs_shm_dir
+@needs_pool
 def test_no_stray_segments_after_parallel_sweep():
     """End-to-end: a real pooled sweep leaves /dev/shm exactly as found."""
-    from repro.core import ExecutionPolicy, parallel_backend_available
+    from repro.core import ExecutionPolicy
     from tests.core.test_operators import make_operator
 
-    if not parallel_backend_available():
-        pytest.skip("no pool backend")
     before = _segments()
     op = make_operator("plain")
     sources = np.arange(op.num_states, dtype=np.int64)
     op.variation_curves(sources, [1, 3], policy=ExecutionPolicy(workers=2, block_size=4))
     assert _segments() == before
+
+
+_TRACKER_CHILD = r"""
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from repro.core import ExecutionPolicy, TransitionOperator
+from repro.generators import erdos_renyi_gnm
+from repro.graph import largest_connected_component
+from repro.obs import OBS
+from repro.sybil import RouteInstances
+
+graph = largest_connected_component(erdos_renyi_gnm(60, 200, seed=3))[0]
+policy = ExecutionPolicy(workers=2)
+OBS.enable()
+op = TransitionOperator(graph)
+sources = np.arange(graph.num_nodes)
+assert np.array_equal(
+    op.variation_curves(sources, [1, 4], policy=policy), op.variation_curves(sources, [1, 4])
+)
+RouteInstances(graph, 4, seed=1).tails_at_lengths(sources, np.asarray([2, 5]), seed=2, policy=policy)
+histograms = OBS.snapshot()["histograms"]
+assert histograms["parallel.task_seconds.curves"]["count"] >= 2, "curves never reached the pool"
+assert histograms["parallel.task_seconds.route_tails"]["count"] >= 2, "routes never reached the pool"
+tracker = sys.modules.get("multiprocessing.resource_tracker")
+print("tracker-started" if tracker and tracker._resource_tracker._pid else "no-tracker")
+"""
+
+
+@needs_pool
+def test_pooled_sweep_starts_no_resource_tracker(tmp_path):
+    """Operator and route sweeps on the pool never start the tracker
+    (publishing named shared memory used to)."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    script = tmp_path / "child.py"
+    script.write_text(_TRACKER_CHILD.format(src=src))
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "no-tracker"

@@ -79,6 +79,13 @@ class TestExecutionPolicy:
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(shard_timeout=bad)
 
+    @pytest.mark.parametrize("bad", [float("inf"), "inf", 1e400], ids=["float", "str", "overflow"])
+    def test_shard_timeout_rejects_infinite(self, bad):
+        # An infinite wait used to pass validation, then overflow every
+        # future.result(timeout=...) so the pool never ran.
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExecutionPolicy(shard_timeout=bad)
+
     def test_shard_timeout_coerced_to_float(self):
         p = ExecutionPolicy(shard_timeout=5)
         assert isinstance(p.shard_timeout, float)

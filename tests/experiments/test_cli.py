@@ -113,6 +113,13 @@ class TestExitCodes:
         assert "ConfigurationError" in err
         assert "shard_timeout" in err
 
+    def test_infinite_shard_timeout_is_2(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig1", lambda c: "")
+        assert cli.main(["fig1", "--shard-timeout", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err
+        assert "shard_timeout" in err and "finite" in err
+
     def test_unknown_backend_is_2(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.EXPERIMENTS, "fig1", lambda c: "")
         # The operand picks the SpMM kernel; there is no --backend flag,
