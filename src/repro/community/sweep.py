@@ -12,13 +12,12 @@ is how the benches *explain* the measured mixing times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
+from ..core.spectral import _normalized_matrix, _symmetric_extremes
 from ..errors import NotConnectedError
 from ..graph import Graph, is_connected
-from ..core.spectral import normalized_adjacency
 
 __all__ = ["SweepCut", "spectral_sweep_cut", "second_eigenvector"]
 
@@ -26,21 +25,11 @@ __all__ = ["SweepCut", "spectral_sweep_cut", "second_eigenvector"]
 def second_eigenvector(graph: Graph) -> np.ndarray:
     """The eigenvector of ``D^{-1/2} A D^{-1/2}`` for lambda_2, mapped back
     to the random-walk eigenvector (divided by sqrt(deg))."""
-    from scipy.sparse.linalg import eigsh
-
     if not is_connected(graph):
         raise NotConnectedError("sweep cut needs a connected graph")
-    matrix = normalized_adjacency(graph)
-    n = matrix.shape[0]
-    if n <= 16:
-        dense = matrix.toarray()
-        values, vectors = np.linalg.eigh(dense)
-        vec = vectors[:, -2]
-    else:
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        values, vectors = eigsh(matrix, k=2, which="LA", v0=v0)
-        order = np.argsort(values)
-        vec = vectors[:, order[0]]
+    _, _, vec, _, _ = _symmetric_extremes(
+        _normalized_matrix(graph), k=2, vectors=True, bottom=False
+    )
     return vec / np.sqrt(graph.degrees.astype(np.float64))
 
 

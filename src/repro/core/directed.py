@@ -27,6 +27,7 @@ from ..errors import ConvergenceError, NotConnectedError
 from ..graph.digraph import DiGraph, strongly_connected_components
 from .operators import MarkovOperator
 from .runtime import ExecutionPolicy
+from .spectral import _second_modulus
 
 __all__ = [
     "DirectedTransitionOperator",
@@ -153,25 +154,12 @@ def directed_second_eigenvalue_modulus(graph: DiGraph, *, damping: float = 1.0) 
     n = graph.num_nodes
     if n < 3:
         raise ValueError("need at least 3 nodes")
-    from scipy.sparse.linalg import eigs
-
     matrix = op._matrix
     if n <= 400:
-        dense = matrix.toarray()
-        if damping < 1.0:
-            dense = damping * dense + (1.0 - damping) / n
-        values = np.linalg.eigvals(dense)
-        mods = np.sort(np.abs(values))[::-1]
-        return float(min(mods[1], 1.0))
-    try:
-        values = eigs(matrix.T.astype(np.float64), k=3, which="LM", return_eigenvectors=False, maxiter=5000)
-    except Exception as exc:
-        raise ConvergenceError(f"ARPACK failed on directed spectrum: {exc}") from exc
-    mods = np.sort(np.abs(values))[::-1]
-    second = float(mods[1])
-    if damping < 1.0:
-        second *= damping
-    return min(second, 1.0)
+        dense = damping * matrix.toarray() + (1.0 - damping) / n
+        return min(_second_modulus(dense, k=3), 1.0)
+    # Teleporting shrinks every non-Perron eigenvalue by ``damping``.
+    return min(damping * _second_modulus(matrix.T.astype(np.float64), k=3, maxiter=5000), 1.0)
 
 
 def directed_variation_curve(

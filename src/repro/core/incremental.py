@@ -5,13 +5,18 @@ recomputing the SLEM from scratch on every window throws that locality
 away.  This module maintains the two extreme eigenpairs of the
 normalised adjacency ``N = D^{-1/2} A D^{-1/2}`` *incrementally*:
 
+**One solver.**  A cold state is the static SLEM solve
+(``spectral._symmetric_extremes`` over ``spectral._normalized_matrix``)
+with its eigenvectors kept; a warm state is the same kernel seeded.  A
+memory-mapped window streams row stripes and never materialises N.
+
 **Warm start.**  The previous window's eigenvectors seed the next
-window's Lanczos solves (``eigsh`` with an explicit ``v0``) run at the
+window's Lanczos solves (an explicit ``(top, bottom)`` start pair) run at the
 loose-but-certified tolerance :data:`WARM_RESIDUAL_TOL` instead of the
 cold path's machine-precision ``tol=0``.  The certification is the
 symmetric residual bound: every Ritz pair obeys
 ``|theta - lambda| <= ||N x - theta x||_2``, and ``|lambda| <= 1`` for
-the normalised adjacency, so an eigsh exit at relative tolerance
+the normalised adjacency, so a Lanczos exit at relative tolerance
 ``1e-7`` pins the eigenvalue error an order of magnitude below the
 :data:`WARM_SLEM_ATOL` contract.  An explicit residual certificate is
 still evaluated after each warm solve — if it ever exceeds the safe
@@ -23,7 +28,8 @@ threshold the window silently recomputes cold.
 it analytically and the test suite pins it empirically.
 
 **Cold fallback.**  Warm seeding is refused automatically when there is
-no previous state, the node count changed, or the delta touches more
+no previous state, the node count changed, the graph is small enough for
+the kernel's dense solve (64 nodes or fewer), or the delta touches more
 than :data:`MAX_WARM_DELTA_FRACTION` of the edges — perturbation
 locality is no longer trustworthy, so the solver falls back to the
 deterministic cold path (and says so in ``SpectralState.warm_started``).
@@ -34,8 +40,8 @@ distribution is degree-proportional (Theorem 1), so
 and reproduces :func:`repro.core.stationary.stationary_distribution`
 bit-for-bit.
 
-Matvecs are scipy's native CSR product over the normalised adjacency,
-wrapped in a counted ``LinearOperator``.
+``SpectralState.matvecs`` is the kernel's count of operator products,
+plus the two of each warm residual certificate.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from ..graph.temporal import EdgeDelta, TemporalGraph
 from ..obs import OBS
 from .mixing import measure_mixing, sample_sources
 from .runtime import ExecutionPolicy, as_policy
-from .spectral import SpectralSummary, normalized_adjacency
+from .spectral import _DENSE_CUTOFF, SpectralSummary, _normalized_matrix, _symmetric_extremes
 
 __all__ = [
     "WARM_SLEM_ATOL",
@@ -82,11 +88,6 @@ WARM_RESIDUAL_TOL = 1e-7
 #: of the current edge set — first-order perturbation locality is gone,
 #: so a cold solve is both safer and barely slower.
 MAX_WARM_DELTA_FRACTION = 0.25
-
-#: Warm seeding needs headroom for the Lanczos basis (ncv = 20
-#: vectors); below this the cold dense solve is cheaper anyway.
-_MIN_WARM_NODES = 64
-
 
 @dataclass(frozen=True)
 class SpectralState:
@@ -174,60 +175,28 @@ class StationaryTracker:
         return f"StationaryTracker(n={len(self._degrees)}, m={self._num_edges})"
 
 
-def _counted_operator(graph: Graph):
-    """``(op, counter, matrix)`` — a counted ``v -> N v`` LinearOperator."""
-    import scipy.sparse.linalg as spla
-
-    matrix = normalized_adjacency(graph)
-    n = graph.num_nodes
-    counter = {"matvecs": 0}
-
-    def matvec(v):
-        counter["matvecs"] += 1
-        return matrix @ v
-
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    return op, counter, matrix
-
-
-def _cold_state(graph: Graph) -> SpectralState:
-    """Deterministic cold solve that also yields the extreme eigenvectors.
-
-    Mirrors :func:`transition_spectrum_extremes`'s sparse path (same
-    deterministic ``v0``, ``tol=0``) but keeps the vectors so the next
-    window can warm-start.  Tiny graphs use a dense solve — Lanczos
-    needs ``k < n`` plus basis headroom.
-    """
-    import scipy.sparse.linalg as spla
-
-    n = graph.num_nodes
-    op, counter, matrix = _counted_operator(graph)
-    if n <= _MIN_WARM_NODES:
-        dense = matrix.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        lambda2, vec2 = float(vals[-2]), vecs[:, -2]
-        lambda_min, vec_min = float(vals[0]), vecs[:, 0]
-    else:
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        vals_hi, vecs_hi = spla.eigsh(op, k=3, which="LA", v0=v0, tol=0)
-        order = np.argsort(vals_hi)
-        lambda2, vec2 = float(vals_hi[order[-2]]), vecs_hi[:, order[-2]]
-        vals_lo, vecs_lo = spla.eigsh(op, k=1, which="SA", v0=v0, tol=0)
-        lambda_min, vec_min = float(vals_lo[0]), vecs_lo[:, 0]
-    slem = min(max(abs(lambda2), abs(lambda_min)), 1.0)
+def _state(graph: Graph, solved, warm_started: bool) -> SpectralState:
+    lambda2, lambda_min, vec2, vec_min, matvecs = solved
     if OBS.enabled:
-        OBS.add("core.incremental.cold_starts")
-        OBS.add("core.incremental.matvecs", counter["matvecs"])
+        OBS.add("core.incremental.warm_starts" if warm_started else "core.incremental.cold_starts")
+        OBS.add("core.incremental.matvecs", matvecs)
     return SpectralState(
         lambda2=lambda2,
         lambda_min=lambda_min,
-        slem=slem,
+        slem=min(max(abs(lambda2), abs(lambda_min)), 1.0),
         vec2=np.ascontiguousarray(vec2, dtype=np.float64),
         vec_min=np.ascontiguousarray(vec_min, dtype=np.float64),
-        n=n,
-        warm_started=False,
-        matvecs=counter["matvecs"],
+        n=graph.num_nodes,
+        warm_started=warm_started,
+        matvecs=matvecs,
     )
+
+
+def _cold_state(graph: Graph) -> SpectralState:
+    """The static SLEM solve (deterministic ``v0``, ``tol=0``), keeping
+    the extreme eigenvectors so the next window can warm-start."""
+    solved = _symmetric_extremes(_normalized_matrix(graph), vectors=True)
+    return _state(graph, solved, warm_started=False)
 
 
 def warm_spectral_extremes(
@@ -235,7 +204,6 @@ def warm_spectral_extremes(
     state: Optional[SpectralState] = None,
     *,
     changed_edges: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
     residual_tol: float = WARM_RESIDUAL_TOL,
     max_delta_fraction: float = MAX_WARM_DELTA_FRACTION,
 ) -> SpectralState:
@@ -253,20 +221,14 @@ def warm_spectral_extremes(
         ``max_delta_fraction * graph.num_edges`` the warm seed is
         rejected and the solver recomputes cold.  ``None`` means
         "unknown but small" (warm is attempted when ``state`` fits).
-    policy:
-        Execution policy, validated and accepted for symmetry with the
-        other sweeps; no execution knob changes a Lanczos matvec.
 
     The returned state satisfies the pinned agreement contract
     (:data:`WARM_SLEM_ATOL` against a cold solve) whichever path ran.
     """
-    import scipy.sparse.linalg as spla
-
-    as_policy(policy)
     warm_ok = (
         state is not None
         and state.n == graph.num_nodes
-        and graph.num_nodes > _MIN_WARM_NODES
+        and graph.num_nodes > _DENSE_CUTOFF  # smaller graphs solve densely
         and (
             changed_edges is None
             or changed_edges <= max_delta_fraction * max(graph.num_edges, 1)
@@ -276,42 +238,22 @@ def warm_spectral_extremes(
         return _cold_state(graph)
 
     with OBS.span("incremental.warm", n=graph.num_nodes):
-        op, counter, matrix = _counted_operator(graph)
+        matrix = _normalized_matrix(graph)
         # The previous eigenvectors seed loose-tolerance Lanczos solves;
         # k=2 "LA" resolves (lambda_1 = 1, lambda_2) together, which is
         # cheaper than deflating lambda_1 out by hand.
-        vals_hi, vecs_hi = spla.eigsh(
-            op, k=2, which="LA", v0=state.vec2, tol=residual_tol
+        lambda2, lambda_min, vec2, vec_min, matvecs = _symmetric_extremes(
+            matrix, (state.vec2, state.vec_min), k=2, tol=residual_tol, vectors=True
         )
-        order = np.argsort(vals_hi)
-        lambda2, vec2 = float(vals_hi[order[-2]]), vecs_hi[:, order[-2]]
-        vals_lo, vecs_lo = spla.eigsh(
-            op, k=1, which="SA", v0=state.vec_min, tol=residual_tol
-        )
-        lambda_min, vec_min = float(vals_lo[0]), vecs_lo[:, 0]
         # Explicit residual certificate: |theta - lambda| <= ||r||_2 for
-        # symmetric N.  eigsh already guarantees it at exit, but a cold
+        # symmetric N.  ARPACK already guarantees it at exit, but a cold
         # recompute on violation costs little and removes all trust in
         # ARPACK's stopping rule from the agreement contract.
         res2 = float(np.linalg.norm(matrix @ vec2 - lambda2 * vec2))
         res_min = float(np.linalg.norm(matrix @ vec_min - lambda_min * vec_min))
-        counter["matvecs"] += 2
     if max(res2, res_min) > 2.0 * residual_tol:
         return _cold_state(graph)
-    slem = min(max(abs(lambda2), abs(lambda_min)), 1.0)
-    if OBS.enabled:
-        OBS.add("core.incremental.warm_starts")
-        OBS.add("core.incremental.matvecs", counter["matvecs"])
-    return SpectralState(
-        lambda2=lambda2,
-        lambda_min=lambda_min,
-        slem=slem,
-        vec2=np.ascontiguousarray(vec2, dtype=np.float64),
-        vec_min=np.ascontiguousarray(vec_min, dtype=np.float64),
-        n=graph.num_nodes,
-        warm_started=True,
-        matvecs=counter["matvecs"],
-    )
+    return _state(graph, (lambda2, lambda_min, vec2, vec_min, matvecs + 2), warm_started=True)
 
 
 @dataclass(frozen=True)
@@ -379,6 +321,7 @@ def slem_trend(
     With ``warm=False`` every window is solved cold — that is the
     baseline the temporal benchmark gates the warm path against.
     """
+    as_policy(policy)  # validated only: no execution knob changes a matvec
     resolved = _resolve_times(temporal, times)
     states = []
     state: Optional[SpectralState] = None
@@ -390,7 +333,6 @@ def slem_trend(
             graph,
             state if warm else None,
             changed_edges=changed,
-            policy=policy,
         )
         states.append(state)
         prev_t = t

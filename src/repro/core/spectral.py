@@ -24,7 +24,7 @@ are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from ..graph import Graph, is_connected
 from ..obs import OBS
 
 __all__ = [
+    "METHODS",
     "SpectralSummary",
     "normalized_adjacency",
     "normalized_adjacency_operator",
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 _DENSE_CAP = 4000
+
+#: The back-ends of :func:`transition_spectrum_extremes` (module docstring).
+METHODS = ("sparse", "dense", "power")
 
 
 @dataclass(frozen=True)
@@ -152,30 +156,90 @@ def _normalized_matrix(graph: Graph):
     return normalized_adjacency(graph)
 
 
-def _extremes_sparse(graph: Graph, *, tol: float = 0.0, maxiter=None) -> Tuple[float, float]:
-    from scipy.sparse.linalg import eigsh
+#: Node count at or below which a symmetric solve is a dense ``eigh``:
+#: Lanczos needs basis headroom (ncv = 20 vectors), and a dense solve is
+#: deterministic where a uniform start can span an invariant subspace.
+_DENSE_CUTOFF = 64
 
-    matrix = _normalized_matrix(graph)
+
+def _symmetric_extremes(
+    matrix,
+    v0=None,
+    *,
+    k: int = 3,
+    tol: float = 0.0,
+    maxiter=None,
+    vectors: bool = False,
+    bottom: bool = True,
+):
+    """``(lambda2, lambda_min, vec2, vec_min, matvecs)`` of a symmetric
+    operator (CSR or streamed) whose top eigenvalue is 1.
+
+    The one symmetric eigensolver, behind the static SLEM, the temporal
+    states, the weighted SLEM and the Fiedler vector: an ``eigsh`` "LA"
+    solve for the top ``k`` and, if ``bottom``, an "SA" solve, counting
+    matvecs.  ``v0`` seeds both, or is a ``(top, bottom)`` pair (``None``:
+    uniform).  Unrequested results are ``None``.  At or below
+    :data:`_DENSE_CUTOFF` nodes a dense ``eigh`` answers (0 matvecs).
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    def column(vecs, i):
+        return None if vecs is None else vecs[:, i]
+
     n = matrix.shape[0]
-    if n <= 16:
-        return _extremes_dense(graph)
-    k = min(3, n - 1)
-    # Largest algebraic: lambda_1 = 1 and lambda_2; deterministic start
-    # vector keeps results reproducible.
-    v0 = np.full(n, 1.0 / np.sqrt(n))
+    if n <= _DENSE_CUTOFF:
+        dense = matrix @ np.eye(n)
+        values, vecs = np.linalg.eigh(dense) if vectors else (np.linalg.eigvalsh(dense), None)
+        return float(values[-2]), float(values[0]), column(vecs, -2), column(vecs, 0), 0
+    v_top, v_bottom = v0 if isinstance(v0, tuple) else (v0, v0)
+    matvecs = 0
+
+    def matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        return matrix @ v
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+
+    def solve(which, count, start):
+        if start is None:
+            start = np.full(n, 1.0 / np.sqrt(n))
+        out = eigsh(op, k=count, which=which, v0=start, tol=tol, maxiter=maxiter,
+                    return_eigenvectors=vectors)
+        return out if vectors else (out, None)
+
+    lambda_min = vec_min = None
     try:
         with OBS.timer("spectral.sparse.seconds"):
-            top = eigsh(matrix, k=k, which="LA", return_eigenvectors=False, tol=tol, maxiter=maxiter, v0=v0)
-            bottom = eigsh(matrix, k=1, which="SA", return_eigenvectors=False, tol=tol, maxiter=maxiter, v0=v0)
+            top_vals, top_vecs = solve("LA", k, v_top)
+            if bottom:
+                low_vals, low_vecs = solve("SA", 1, v_bottom)
+                lambda_min, vec_min = float(low_vals[0]), column(low_vecs, 0)
     except Exception as exc:  # ArpackNoConvergence and friends
         raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
     if OBS.enabled:
-        OBS.add("spectral.sparse.solves", 2)
+        OBS.add("spectral.sparse.solves", 2 if bottom else 1)
         OBS.observe("spectral.sparse.ritz_k", k)
-    top = np.sort(top)[::-1]
-    lambda2 = float(top[1])
-    lambda_min = float(bottom[0])
-    return lambda2, lambda_min
+    i = int(np.argsort(top_vals)[-2])
+    return float(top_vals[i]), lambda_min, column(top_vecs, i), vec_min, matvecs
+
+
+def _second_modulus(matrix, *, k: int, v0=None, tol: float = 0.0, maxiter=None) -> float:
+    """Second-largest eigenvalue modulus of a non-symmetric operator:
+    exact ``eigvals`` on a dense ``ndarray``, else ``eigs`` "LM" for ``k``."""
+    if isinstance(matrix, np.ndarray):
+        values = np.linalg.eigvals(matrix)
+    else:
+        from scipy.sparse.linalg import eigs
+
+        try:
+            values = eigs(
+                matrix, k=k, which="LM", return_eigenvectors=False, tol=tol, maxiter=maxiter, v0=v0
+            )
+        except Exception as exc:  # ArpackNoConvergence and friends
+            raise ConvergenceError(f"sparse eigensolver failed: {exc}") from exc
+    return float(np.sort(np.abs(values))[::-1][1])
 
 
 def _extremes_dense(graph: Graph) -> Tuple[float, float]:
@@ -284,13 +348,15 @@ def transition_spectrum_extremes(
         "spectral.extremes", method=method, nodes=int(graph.num_nodes)
     ) as span:
         if method == "sparse":
-            lambda2, lambda_min = _extremes_sparse(graph, tol=tol, maxiter=maxiter)
+            lambda2, lambda_min, _, _, _ = _symmetric_extremes(
+                _normalized_matrix(graph), tol=tol, maxiter=maxiter
+            )
         elif method == "dense":
             lambda2, lambda_min = _extremes_dense(graph)
         elif method == "power":
             lambda2, lambda_min = _extremes_power(graph)
         else:
-            raise ConfigurationError(f"unknown method {method!r}; expected sparse|dense|power")
+            raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
         if OBS.enabled:
             OBS.add(f"spectral.calls.{method}")
             span.set(lambda2=float(lambda2), lambda_min=float(lambda_min))
@@ -340,39 +406,23 @@ def non_backtracking_slem(
     with OBS.span(
         "spectral.nonbacktracking", method=method, arcs=int(num_slots)
     ) as span:
-        if method == "dense" or (method == "sparse" and num_slots <= 32):
-            if num_slots > _DENSE_CAP:
-                raise ConfigurationError(
-                    f"dense spectral back-end capped at {_DENSE_CAP} arcs "
-                    f"(got {num_slots}); use method='sparse'"
-                )
-            moduli = np.sort(np.abs(np.linalg.eigvals(matrix.toarray())))[::-1]
-        elif method == "sparse":
-            from scipy.sparse.linalg import eigs
-
-            k = min(4, num_slots - 2)
-            v0 = np.full(num_slots, 1.0 / np.sqrt(num_slots))
-            try:
-                with OBS.timer("spectral.nonbacktracking.seconds"):
-                    values = eigs(
-                        matrix.astype(np.float64),
-                        k=k,
-                        which="LM",
-                        return_eigenvectors=False,
-                        tol=tol,
-                        maxiter=maxiter,
-                        v0=v0,
-                    )
-            except Exception as exc:  # ArpackNoConvergence and friends
-                raise ConvergenceError(
-                    f"sparse eigensolver failed on Hashimoto matrix: {exc}"
-                ) from exc
-            moduli = np.sort(np.abs(values))[::-1]
-        else:
+        if method not in ("sparse", "dense"):
+            raise ConfigurationError(f"unknown method {method!r}; expected sparse|dense")
+        dense = method == "dense" or num_slots <= 32
+        if dense and num_slots > _DENSE_CAP:
             raise ConfigurationError(
-                f"unknown method {method!r}; expected sparse|dense"
+                f"dense spectral back-end capped at {_DENSE_CAP} arcs "
+                f"(got {num_slots}); use method='sparse'"
             )
-        mu = float(min(moduli[1], 1.0))
+        with OBS.timer("spectral.nonbacktracking.seconds"):
+            second = _second_modulus(
+                matrix.toarray() if dense else matrix.astype(np.float64),
+                k=min(4, num_slots - 2),
+                v0=np.full(num_slots, 1.0 / np.sqrt(num_slots)),
+                tol=tol,
+                maxiter=maxiter,
+            )
+        mu = float(min(second, 1.0))
         if OBS.enabled:
             span.set(slem=mu)
     return mu

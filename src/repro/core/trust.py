@@ -33,6 +33,7 @@ from ..graph import Graph, is_connected
 from .._util import check_node_index
 from .operators import MarkovOperator, _check_walk_lengths, _sweep
 from .runtime import ExecutionPolicy, as_policy
+from .spectral import _symmetric_extremes
 from .stationary import stationary_distribution, weighted_stationary_distribution
 
 __all__ = [
@@ -235,7 +236,6 @@ def weighted_slem(graph: Graph, arc_weights: np.ndarray) -> float:
     """
     operator = WeightedTransitionOperator(graph, arc_weights)  # validates
     from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import eigsh
 
     strength = operator.strength()
     inv_sqrt = 1.0 / np.sqrt(strength)
@@ -243,13 +243,8 @@ def weighted_slem(graph: Graph, arc_weights: np.ndarray) -> float:
     data = np.asarray(arc_weights, dtype=np.float64) * inv_sqrt[src] * inv_sqrt[graph.indices]
     n = graph.num_nodes
     matrix = csr_matrix((data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n))
-    if n <= 16:
-        values = np.linalg.eigvalsh(matrix.toarray())
-        return float(min(max(abs(values[-2]), abs(values[0])), 1.0))
+    # The top eigenvector sqrt(strength) is the start vector.
     v0 = np.sqrt(strength)
     v0 /= np.linalg.norm(v0)
-    top = eigsh(matrix, k=min(3, n - 1), which="LA", return_eigenvectors=False, v0=v0)
-    bottom = eigsh(matrix, k=1, which="SA", return_eigenvectors=False, v0=v0)
-    lambda2 = float(np.sort(top)[::-1][1])
-    lambda_min = float(bottom[0])
+    lambda2, lambda_min, _, _, _ = _symmetric_extremes(matrix, v0)
     return float(min(max(abs(lambda2), abs(lambda_min)), 1.0))

@@ -35,7 +35,6 @@ chunks so the full edge list never materialises in memory.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -77,23 +76,6 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _hash_array_streaming(h, size: int, reader) -> None:
-    """Feed one int64 array into ``h`` exactly like ``_hash_part`` does.
-
-    ``reader(lo, hi)`` must return the contiguous little-endian int64
-    slice ``[lo, hi)``; the type/shape prefix matches
-    :func:`repro.core.runtime._hash_part`'s ndarray encoding, so the
-    digest equals hashing the materialised array in one call.
-    """
-    h.update(f"\x00nd:{_DTYPE}:{(size,)}:".encode())
-    step = max(_HASH_CHUNK // 8, 1)
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        h.update(np.ascontiguousarray(reader(lo, hi), dtype=np.int64).tobytes())
-    if size == 0:
-        h.update(b"")
-
-
 def streaming_graph_fingerprint(indptr, indices) -> str:
     """``graph_fingerprint`` recomputed in bounded memory.
 
@@ -105,11 +87,15 @@ def streaming_graph_fingerprint(indptr, indices) -> str:
     encoding prefixes each array with its shape, which for a streamed
     write is only known once the last chunk lands.)
     """
-    h = hashlib.sha256()
-    h.update(b"repro.runtime.sweep/v1")
-    h.update(b"\x00st:" + b"service.graph")
+    # Imported here: ``repro.graph`` must not import ``repro.core`` at load.
+    from ..core.runtime import hash_array_chunks, sweep_hasher
+
+    h = sweep_hasher("service.graph")
+    step = max(_HASH_CHUNK // 8, 1)
     for arr in (indptr, indices):
-        _hash_array_streaming(h, int(arr.shape[0]), lambda lo, hi, a=arr: a[lo:hi])
+        size = int(arr.shape[0])
+        chunks = (arr[lo:lo + step] for lo in range(0, size, step))
+        hash_array_chunks(h, _DTYPE, (size,), chunks)
     return h.hexdigest()
 
 

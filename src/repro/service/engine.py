@@ -71,6 +71,7 @@ import numpy as np
 
 from ..core.mixing import MEASUREMENT_MODES
 from ..core.runtime import ExecutionPolicy
+from ..core.spectral import METHODS as SPECTRAL_METHODS
 from ..errors import ConfigurationError
 from ..obs import OBS
 from .cache import ResultCache
@@ -185,12 +186,16 @@ def _optional(convert):
     return optional
 
 
-def _mode(name: str, value) -> str:
-    if value not in MEASUREMENT_MODES:
-        raise ConfigurationError(
-            f"unknown measurement mode {value!r}; expected one of {MEASUREMENT_MODES}"
-        )
-    return value
+def _one_of(choices: Tuple[str, ...], what: str):
+    def convert(name: str, value) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigurationError(f"unknown {what} {value!r}; expected one of {choices}")
+        return value
+
+    return convert
+
+
+_mode = _one_of(MEASUREMENT_MODES, "measurement mode")
 
 
 def _arg(convert=None, default=MISSING, *, key=True, node=False, if_none=None):
@@ -437,7 +442,7 @@ class VariationCurveQuery(_WalkQuery):
 class SlemQuery(Query):
     """Second-largest eigenvalue modulus of the transition operator."""
 
-    method: str = _arg(default="sparse")
+    method: str = _arg(_one_of(SPECTRAL_METHODS, "spectral method"), "sparse")
     laziness: float = _arg(_float, 0.0, key=False)  # keyed as the operator kind
 
     query_type = "slem"

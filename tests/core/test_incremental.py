@@ -37,7 +37,7 @@ from repro.graph import (
 
 
 def _big_graph(seed=11, n=300, m=1100) -> Graph:
-    """A connected, non-bipartite graph comfortably above _MIN_WARM_NODES."""
+    """A connected, non-bipartite graph comfortably above the dense cutoff."""
     graph = largest_connected_component(erdos_renyi_gnm(n, m, seed=seed))[0]
     assert graph.num_nodes > 64
     return graph
@@ -112,6 +112,43 @@ class TestWarmAgreementContract:
         # The whole point: after the cold first window, we stay warm.
         assert warm_windows == len(temporal.times()) - 1
 
+    def test_mapped_graph_streams_every_spectral_path(self, tmp_path):
+        """Cold, warm and Fiedler solves on a memory-mapped graph walk its
+        row stripes; none materialises the O(2m) normalised adjacency."""
+        from repro.community.sweep import second_eigenvector
+        from repro.obs import OBS
+
+        graph = _big_graph()
+        save_csr(graph, tmp_path / "g.csr")
+        mapped = open_csr(tmp_path / "g.csr")
+        was_enabled = OBS.enabled
+        streamed = []
+
+        def counted(run):
+            OBS.reset()
+            OBS.enable()
+            try:
+                out = run()
+                streamed.append(OBS.snapshot()["counters"].get("spectral.stream.matvecs", 0))
+            finally:
+                OBS.reset()
+                OBS.enabled = was_enabled
+            return out
+
+        cold = counted(lambda: warm_spectral_extremes(mapped))
+        warm = counted(lambda: warm_spectral_extremes(mapped, cold, changed_edges=0))
+        vec = counted(lambda: second_eigenvector(mapped))
+        assert "normalized_adjacency" not in mapped._memo
+        assert all(count >= 1 for count in streamed), streamed
+        assert not cold.warm_started and warm.warm_started
+        assert abs(warm.slem - cold.slem) <= WARM_SLEM_ATOL
+        in_memory = transition_spectrum_extremes(graph)
+        assert abs(cold.slem - in_memory.slem) <= WARM_SLEM_ATOL
+        assert abs(warm.lambda_min - in_memory.lambda_min) <= WARM_SLEM_ATOL
+        reference = second_eigenvector(graph)
+        cosine = vec @ reference / (np.linalg.norm(vec) * np.linalg.norm(reference))
+        assert abs(cosine) == pytest.approx(1.0, abs=1e-9)
+
     def test_warm_state_seeds_next_window(self):
         temporal = _temporal_stream(seed=23, windows=2)
         t0, t1 = temporal.times()[:2]
@@ -150,7 +187,7 @@ class TestColdFallbackTriggers:
         assert not follow.warm_started
 
     def test_small_graph_is_always_cold(self):
-        # n <= _MIN_WARM_NODES: dense eigh beats Lanczos, warm is skipped.
+        # n <= spectral._DENSE_CUTOFF: the kernel solves densely, warm is skipped.
         edges = [(i, (i + 1) % 20) for i in range(20)] + [(0, 2)]
         graph = Graph.from_edges(np.array(edges, dtype=np.int64))
         state = warm_spectral_extremes(graph)

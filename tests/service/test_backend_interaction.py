@@ -32,7 +32,7 @@ from repro.errors import ConfigurationError
 from repro.graph import open_csr, save_csr
 from repro.service import OperatorRegistry, QueryEngine, ResultCache
 from repro.service.batch import hitting_times_via_service
-from repro.service.engine import MixingTimeQuery, VariationCurveQuery
+from repro.service.engine import MixingTimeQuery, SlemQuery, VariationCurveQuery
 
 KERNELS = ["numpy", "streaming"]
 
@@ -138,6 +138,18 @@ class TestModeVocabulary:
             MixingTimeQuery(
                 "era", 0, EPSILON, mode="non_backtracking", laziness=0.5
             )
+
+    def test_unknown_spectral_method_rejected_before_any_build(self, engine):
+        """A bad SLEM ``method`` is a client error at construction: the
+        engine never leases the dataset, so no operator is built."""
+        for bad in ("bogus", ["x"], None):
+            with pytest.raises(ConfigurationError, match="unknown spectral method"):
+                SlemQuery("era", method=bad)
+            with pytest.raises(ConfigurationError, match="unknown spectral method"):
+                engine.slem("era", method=bad)
+        assert engine.stats()["registry"]["builds"] == 0
+        for method in ("sparse", "dense", "power"):
+            assert SlemQuery("era", method=method).method == method
 
     def test_modes_key_separately(self, loader):
         with _engine(loader) as eng:
